@@ -6,7 +6,6 @@ plus brute-force oracles for all of it.  All rates and entropies are in nats;
 distortion is mean squared error.
 """
 
-from ._kernels import USE_NUMBA
 from .bounds_eval import (
     HarnessRecord,
     Theorem5Instance,

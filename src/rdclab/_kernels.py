@@ -1,10 +1,4 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The fast path is selected at import time: numba is used when it is importable
-and the environment variable ``RDCLAB_NO_NUMBA`` is unset/falsy.  Setting
-``RDCLAB_NO_NUMBA=1`` forces the numpy/python implementations.  Both paths
-evaluate the same formulas in the same order, so results are bit-identical;
-``benchmarks/bench_kernels.py`` times them against each other.
+"""Hot numeric kernels, one numpy implementation each.
 
 Kernels:
   * grid_rate_scan      - brute-force rate minimisation over a reconstruction
@@ -16,34 +10,17 @@ Kernels:
   * outer_scan          - achievability outer-bound check over the grid.
   * w2_quantile_pairs   - monotone-coupling squared transport cost between
                           two discrete distributions on the line.
+
+The three decoder scans walk the grid through ``_decoders``, the one place
+that knows the decoder order.  Loop forms of the grid and decoder scans
+live in ``tests/test_kernels.py`` as reference oracles.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-
 import numpy as np
 
-
-def _env_disabled() -> bool:
-    return os.environ.get("RDCLAB_NO_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _env_disabled()
+_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -79,48 +56,25 @@ def _w2_quantile_py(xv, xp, yv, yp):
     return cost
 
 
+def w2_quantile_pairs(xv, xp, yv, yp):
+    xv = np.ascontiguousarray(xv, dtype=np.float64)
+    xp = np.ascontiguousarray(xp, dtype=np.float64)
+    yv = np.ascontiguousarray(yv, dtype=np.float64)
+    yp = np.ascontiguousarray(yp, dtype=np.float64)
+    return float(_w2_quantile_py(xv, xp, yv, yp))
+
+
 # ---------------------------------------------------------------------------
 # Gaussian reconstruction-grid rate oracle
 # ---------------------------------------------------------------------------
 
 
-def _grid_rate_scan_py(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
-    """Loop form of the grid scan (jitted on the fast path)."""
-    sx = np.sqrt(var_x)
-    found = False
-    best_rate = np.inf
-    best_mse = np.nan
-    best_ce = np.nan
-    for i in range(n_sigma):
-        sig = 3.0 * sx * (i + 1) / n_sigma
-        vh = sig * sig
-        a = sx * sig
-        for k in range(n_theta + 1):
-            if k < n_theta:
-                theta = -a + (2.0 * a) * k / (n_theta - 1)
-            else:
-                theta = 0.0
-            mse = var_x + vh - 2.0 * theta
-            if mse > d_budget:
-                continue
-            t = theta * theta / (var_x * vh)
-            ce = h_s + 0.5 * np.log1p(-rho1_sq * t)
-            if ce > c_budget:
-                continue
-            if t >= 1.0:
-                rate = np.inf
-            else:
-                rate = -0.5 * np.log1p(-t)
-            found = True
-            if rate < best_rate:
-                best_rate = rate
-                best_mse = mse
-                best_ce = ce
-    return found, best_rate, best_mse, best_ce
+def grid_rate_scan(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
+    """Lowest rate over the (sigma, theta) grid meeting both budgets.
 
-
-def _grid_rate_scan_numpy(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
-    """Vectorised grid scan; same grid and formulas as the loop form."""
+    Returns (found, rate, mse, ce); the grid holds n_sigma scales up to
+    3 sd(X) and, per scale, n_theta covariances across [-a, a] plus theta = 0.
+    """
     sx = np.sqrt(var_x)
     sig = 3.0 * sx * (np.arange(n_sigma, dtype=np.float64) + 1.0) / n_sigma
     vh = (sig * sig)[:, None]
@@ -147,267 +101,84 @@ def _grid_rate_scan_numpy(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_th
 # ---------------------------------------------------------------------------
 
 
-def _dc_scan_py(rows, n_z, row_d, joint_zs, out_d, out_c):
-    """Distortion and H(S|X̂) for every decoder combination (odometer order)."""
-    n_rows, m = rows.shape
-    n_s = joint_zs.shape[1]
-    idx = np.zeros(n_z, dtype=np.int64)
-    total = out_d.shape[0]
-    joint = np.empty((m, n_s))
-    for flat in range(total):
-        d = 0.0
-        for z in range(n_z):
-            d += row_d[z, idx[z]]
-        for k in range(m):
-            for s in range(n_s):
-                joint[k, s] = 0.0
-        for z in range(n_z):
-            r = idx[z]
-            for k in range(m):
-                w = rows[r, k]
-                if w > 0.0:
-                    for s in range(n_s):
-                        joint[k, s] += w * joint_zs[z, s]
-        c = 0.0
-        for k in range(m):
-            pk = 0.0
-            for s in range(n_s):
-                pk += joint[k, s]
-            if pk > 0.0:
-                lpk = np.log(pk)
-                for s in range(n_s):
-                    v = joint[k, s]
-                    if v > 0.0:
-                        c += v * (lpk - np.log(v))
-        out_d[flat] = d
-        out_c[flat] = c
+def _decoders(row_d):
+    """Yield (idx, d) for every decoder on the grid, in chunks.
+
+    ``row_d[z, r]`` is the distortion contributed when symbol z decodes with
+    grid row r.  Decoder n has ``idx[n, z]`` = the mixed-radix digits of n in
+    base n_rows, last symbol fastest (odometer order), and distortion
+    ``d[n] = sum_z row_d[z, idx[n, z]]`` accumulated in z order.
+    """
+    n_z, n_rows = row_d.shape
+    total = n_rows**n_z
+    for start in range(0, total, _CHUNK):
+        rest = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        idx = np.empty((rest.size, n_z), dtype=np.int64)
         for z in range(n_z - 1, -1, -1):
-            idx[z] += 1
-            if idx[z] < n_rows:
-                break
-            idx[z] = 0
+            rest, idx[:, z] = np.divmod(rest, n_rows)
+        d = np.zeros(idx.shape[0])
+        for z in range(n_z):
+            d += row_d[z, idx[:, z]]
+        yield idx, d
+
+
+def _cond_entropy(rows, idx, joint_zs):
+    """H(S|X̂) of each decoder in a chunk; 0*log(0) is 0."""
+    joint = np.zeros((idx.shape[0], rows.shape[1], joint_zs.shape[1]))
+    for z in range(idx.shape[1]):
+        joint += rows[idx[:, z]][:, :, None] * joint_zs[z][None, None, :]
+    pk = joint.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = joint * (np.log(pk)[:, :, None] - np.log(joint))
+    term[joint <= 0.0] = 0.0
+    return term.sum(axis=(1, 2))
+
+
+def dc_scan(rows, n_z, row_d, joint_zs):
+    """Distortion and H(S|X̂) of every decoder, in odometer order."""
+    total = rows.shape[0] ** n_z
+    out_d = np.empty(total)
+    out_c = np.empty(total)
+    pos = 0
+    for idx, d in _decoders(row_d):
+        end = pos + d.size
+        out_d[pos:end] = d
+        out_c[pos:end] = _cond_entropy(rows, idx, joint_zs)
+        pos = end
     return out_d, out_c
 
 
-def _index_chunks(n_rows, n_z, chunk=8192):
-    it = itertools.product(range(n_rows), repeat=n_z)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.int64)
+def cmin_scan(rows, n_z, row_d, joint_zs, d_budget):
+    """First decoder (odometer order) minimising H(S|X̂) with d <= d_budget.
 
-
-def _dc_scan_numpy(rows, n_z, row_d, joint_zs, out_d, out_c):
-    n_s = joint_zs.shape[1]
-    pos = 0
-    for idx in _index_chunks(rows.shape[0], n_z):
-        b = idx.shape[0]
-        d = np.zeros(b)
-        joint = np.zeros((b, rows.shape[1], n_s))
-        for z in range(n_z):
-            d += row_d[z, idx[:, z]]
-            joint += rows[idx[:, z]][:, :, None] * joint_zs[z][None, None, :]
-        pk = joint.sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = joint * (np.log(pk)[:, :, None] - np.log(joint))
-        term[joint <= 0.0] = 0.0
-        out_d[pos : pos + b] = d
-        out_c[pos : pos + b] = term.sum(axis=(1, 2))
-        pos += b
-    return out_d, out_c
-
-
-def _cmin_scan_py(rows, n_z, row_d, joint_zs, d_budget):
-    """First (lexicographic) decoder minimising H(S|X̂) under the MSE budget."""
-    n_rows, m = rows.shape
-    n_s = joint_zs.shape[1]
-    idx = np.zeros(n_z, dtype=np.int64)
-    total = 1
-    for _ in range(n_z):
-        total *= n_rows
-    joint = np.empty((m, n_s))
+    Returns (row indices of the decoder, its H(S|X̂)), or (None, inf) when no
+    decoder meets the budget.
+    """
     best_c = np.inf
-    best_flat = -1
-    for flat in range(total):
-        d = 0.0
-        for z in range(n_z):
-            d += row_d[z, idx[z]]
-        if d <= d_budget:
-            for k in range(m):
-                for s in range(n_s):
-                    joint[k, s] = 0.0
-            for z in range(n_z):
-                r = idx[z]
-                for k in range(m):
-                    w = rows[r, k]
-                    if w > 0.0:
-                        for s in range(n_s):
-                            joint[k, s] += w * joint_zs[z, s]
-            c = 0.0
-            for k in range(m):
-                pk = 0.0
-                for s in range(n_s):
-                    pk += joint[k, s]
-                if pk > 0.0:
-                    lpk = np.log(pk)
-                    for s in range(n_s):
-                        v = joint[k, s]
-                        if v > 0.0:
-                            c += v * (lpk - np.log(v))
-            if c < best_c:
-                best_c = c
-                best_flat = flat
-        for z in range(n_z - 1, -1, -1):
-            idx[z] += 1
-            if idx[z] < n_rows:
-                break
-            idx[z] = 0
-    return best_flat, best_c
-
-
-def _cmin_scan_numpy(rows, n_z, row_d, joint_zs, d_budget):
-    n_s = joint_zs.shape[1]
-    best_c = np.inf
-    best_flat = -1
-    pos = 0
-    for idx in _index_chunks(rows.shape[0], n_z):
-        b = idx.shape[0]
-        d = np.zeros(b)
-        joint = np.zeros((b, rows.shape[1], n_s))
-        for z in range(n_z):
-            d += row_d[z, idx[:, z]]
-            joint += rows[idx[:, z]][:, :, None] * joint_zs[z][None, None, :]
-        pk = joint.sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = joint * (np.log(pk)[:, :, None] - np.log(joint))
-        term[joint <= 0.0] = 0.0
-        c = term.sum(axis=(1, 2))
+    best_idx = None
+    for idx, d in _decoders(row_d):
+        c = _cond_entropy(rows, idx, joint_zs)
         c[d > d_budget] = np.inf
         k = int(np.argmin(c))
         if c[k] < best_c:
             best_c = float(c[k])
-            best_flat = pos + k
-        pos += b
-    return best_flat, best_c
-
-
-def _outer_scan_py(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol):
-    """Count outer-bound violations D < residual + W2^2(p_xt, p_xhat) - tol."""
-    n_rows, m = rows.shape
-    idx = np.zeros(n_z, dtype=np.int64)
-    total = 1
-    for _ in range(n_z):
-        total *= n_rows
-    p_xhat = np.empty(m)
-    violations = 0
-    min_slack = np.inf
-    for flat in range(total):
-        d = 0.0
-        for z in range(n_z):
-            d += row_d[z, idx[z]]
-        for k in range(m):
-            p_xhat[k] = 0.0
-        for z in range(n_z):
-            r = idx[z]
-            w = p_z[z]
-            for k in range(m):
-                p_xhat[k] += w * rows[r, k]
-        w2 = _w2_quantile_py(vals, p_xtilde, vals, p_xhat)
-        slack = d - residual - w2
-        if slack < min_slack:
-            min_slack = slack
-        if slack < -tol:
-            violations += 1
-        for z in range(n_z - 1, -1, -1):
-            idx[z] += 1
-            if idx[z] < n_rows:
-                break
-            idx[z] = 0
-    return violations, min_slack
-
-
-if USE_NUMBA:
-    _w2_quantile_jit = numba.njit(cache=True)(_w2_quantile_py)
-    _grid_rate_scan_jit = numba.njit(cache=True)(_grid_rate_scan_py)
-    _dc_scan_jit = numba.njit(cache=True)(_dc_scan_py)
-    _cmin_scan_jit = numba.njit(cache=True)(_cmin_scan_py)
-
-    @numba.njit(cache=True)
-    def _outer_scan_jit(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol):
-        n_rows, m = rows.shape
-        idx = np.zeros(n_z, dtype=np.int64)
-        total = 1
-        for _ in range(n_z):
-            total *= n_rows
-        p_xhat = np.empty(m)
-        violations = 0
-        min_slack = np.inf
-        for flat in range(total):
-            d = 0.0
-            for z in range(n_z):
-                d += row_d[z, idx[z]]
-            for k in range(m):
-                p_xhat[k] = 0.0
-            for z in range(n_z):
-                r = idx[z]
-                w = p_z[z]
-                for k in range(m):
-                    p_xhat[k] += w * rows[r, k]
-            w2 = _w2_quantile_jit(vals, p_xtilde, vals, p_xhat)
-            slack = d - residual - w2
-            if slack < min_slack:
-                min_slack = slack
-            if slack < -tol:
-                violations += 1
-            for z in range(n_z - 1, -1, -1):
-                idx[z] += 1
-                if idx[z] < n_rows:
-                    break
-                idx[z] = 0
-        return violations, min_slack
-
-
-def w2_quantile_pairs(xv, xp, yv, yp):
-    xv = np.ascontiguousarray(xv, dtype=np.float64)
-    xp = np.ascontiguousarray(xp, dtype=np.float64)
-    yv = np.ascontiguousarray(yv, dtype=np.float64)
-    yp = np.ascontiguousarray(yp, dtype=np.float64)
-    if USE_NUMBA:
-        return float(_w2_quantile_jit(xv, xp, yv, yp))
-    return float(_w2_quantile_py(xv, xp, yv, yp))
-
-
-def grid_rate_scan(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
-    if USE_NUMBA:
-        found, rate, mse, ce = _grid_rate_scan_jit(
-            var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta
-        )
-        return bool(found), float(rate), float(mse), float(ce)
-    return _grid_rate_scan_numpy(
-        var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta
-    )
-
-
-def dc_scan(rows, n_z, row_d, joint_zs):
-    total = rows.shape[0] ** n_z
-    out_d = np.empty(total)
-    out_c = np.empty(total)
-    if USE_NUMBA:
-        _dc_scan_jit(rows, n_z, row_d, joint_zs, out_d, out_c)
-        return out_d, out_c
-    return _dc_scan_numpy(rows, n_z, row_d, joint_zs, out_d, out_c)
-
-
-def cmin_scan(rows, n_z, row_d, joint_zs, d_budget):
-    if USE_NUMBA:
-        flat, c = _cmin_scan_jit(rows, n_z, row_d, joint_zs, d_budget)
-        return int(flat), float(c)
-    return _cmin_scan_numpy(rows, n_z, row_d, joint_zs, d_budget)
+            best_idx = idx[k]
+    return best_idx, best_c
 
 
 def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol=1e-12):
-    if USE_NUMBA:
-        v, s = _outer_scan_jit(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol)
-        return int(v), float(s)
-    return _outer_scan_py(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol)
+    """Count outer-bound violations D < residual + W2^2(p_xt, p_xhat) - tol.
+
+    Returns (violations, min_slack) over every decoder on the grid.
+    """
+    violations = 0
+    min_slack = np.inf
+    for idx, d in _decoders(row_d):
+        p_xhat = np.zeros((d.size, rows.shape[1]))
+        for z in range(n_z):
+            p_xhat += p_z[z] * rows[idx[:, z]]
+        w2 = np.array([_w2_quantile_py(vals, p_xtilde, vals, p) for p in p_xhat])
+        slack = d - residual - w2
+        min_slack = min(min_slack, float(slack.min()))
+        violations += int(np.count_nonzero(slack < -tol))
+    return violations, min_slack

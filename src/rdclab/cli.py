@@ -164,7 +164,7 @@ def cmd_gauss_curves(args) -> int:
     if abs(args.rho) >= 1.0:
         print(f"infeasible configuration: |rho| = {abs(args.rho)} >= 1", file=sys.stderr)
         return 2
-    rates = [float(tok) for tok in args.rates.split(",") if tok.strip() != ""]
+    rates = args.rates
     if not rates or any(r < 0.0 for r in rates):
         raise ParameterError("--rates must be a comma list of nonnegative numbers")
     if args.points < 2:
@@ -277,7 +277,11 @@ def cmd_discrete_region(args) -> int:
         raise InfeasibleBudgetError(
             f"no decoder on the grid meets the distortion budget {d_budget}"
         )
-    ext_b = discrete_region.extreme_point_b(src, encoder, d_budget, levels)
+    red = discrete_region.mmse_reduction(src, encoder)
+    ext_b = (
+        red.residual + discrete_region.w2_squared_quantile(red.p_xtilde, sol.p_xhat),
+        sol.c_min,
+    )
     violations, min_slack, checked = discrete_region.outer_bound_sweep(
         src, encoder, levels
     )
@@ -366,6 +370,22 @@ class _UsageError(Exception):
     pass
 
 
+def _number(text: str) -> float:
+    """A float flag value; NaN is refused, infinities keep their meaning."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return value
+
+
+def _numbers(text: str) -> list[float]:
+    """A comma list of float flag values; empty tokens are skipped."""
+    return [_number(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 3 on flag errors, not argparse's default 2
         raise _UsageError(message)
@@ -376,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gauss-curves", help="emit Gaussian tradeoff curves as CSV")
-    p.add_argument("--rho", type=float, default=0.7)
-    p.add_argument("--sigma-x", type=float, default=1.0)
-    p.add_argument("--sigma-s", type=float, default=1.0)
-    p.add_argument("--rates", type=str, default="0.05,0.1,0.15,0.2,0.34")
+    p.add_argument("--rho", type=_number, default=0.7)
+    p.add_argument("--sigma-x", type=_number, default=1.0)
+    p.add_argument("--sigma-s", type=_number, default=1.0)
+    p.add_argument("--rates", type=_numbers, default="0.05,0.1,0.15,0.2,0.34")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_gauss_curves)
@@ -389,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--grid-c", type=int, default=50)
     p.add_argument("--grid-r", type=int, default=50)
-    p.add_argument("--rho", type=float, default=0.7)
-    p.add_argument("--sigma-x", type=float, default=1.0)
-    p.add_argument("--sigma-s", type=float, default=1.0)
+    p.add_argument("--rho", type=_number, default=0.7)
+    p.add_argument("--sigma-x", type=_number, default=1.0)
+    p.add_argument("--sigma-s", type=_number, default=1.0)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_discrepancy_report)
 
@@ -400,15 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--source", type=str, required=True)
     p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--d-budget", type=float, default=None)
+    p.add_argument("--d-budget", type=_number, default=None)
     p.add_argument("--out", type=str, required=True, help="output path prefix")
     p.set_defaults(func=cmd_discrete_region)
 
     p = sub.add_parser("bounds", help="corner-bound harness instances (JSON)")
-    p.add_argument("--rho", type=float, default=0.7)
-    p.add_argument("--sigma-x", type=float, default=1.0)
-    p.add_argument("--sigma-s", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--rho", type=_number, default=0.7)
+    p.add_argument("--sigma-x", type=_number, default=1.0)
+    p.add_argument("--sigma-s", type=_number, default=1.0)
+    p.add_argument("--rate", type=_number, default=None)
     p.add_argument("--instances", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, required=True)

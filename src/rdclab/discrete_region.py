@@ -403,14 +403,6 @@ def _enumeration_arrays(
     return rows, row_d, b
 
 
-def _decode_combo(flat: int, n_rows: int, n_z: int) -> list[int]:
-    idx = []
-    for _ in range(n_z):
-        idx.append(flat % n_rows)
-        flat //= n_rows
-    return idx[::-1]
-
-
 def c_min_solver(
     src: DiscreteSource,
     encoder: Channel,
@@ -432,10 +424,9 @@ def c_min_solver(
         else np.asarray(xhat_values, dtype=np.float64)
     )
     rows, row_d, b = _enumeration_arrays(src, encoder, levels, vals)
-    flat, best_c = _kernels.cmin_scan(rows, encoder.n_out, row_d, b, float(d_budget))
-    if flat < 0:
+    idx, best_c = _kernels.cmin_scan(rows, encoder.n_out, row_d, b, float(d_budget))
+    if idx is None:
         return CMinSolution(feasible=False)
-    idx = _decode_combo(flat, rows.shape[0], encoder.n_out)
     decoder = Channel(rows[idx])
     p_xhat = _marginal_xhat(src, encoder, decoder)
     return CMinSolution(
@@ -492,14 +483,12 @@ def region_approx(
     )
     rows, row_d, b = _enumeration_arrays(src, encoder, levels, vals)
     d_all, c_all = _kernels.dc_scan(rows, encoder.n_out, row_d, b)
-    pairs = np.unique(np.column_stack([d_all, c_all]), axis=0)  # lexsorted rows
-    frontier: list[tuple[float, float]] = []
-    best_c = math.inf
-    for d, c in pairs:
-        if c < best_c:
-            frontier.append((float(d), float(c)))
-            best_c = c
-    return frontier
+    order = np.lexsort((c_all, d_all))  # by D, ties by C
+    d_all, c_all = d_all[order], c_all[order]
+    # Pareto filter: keep a point when its C is below every C sorted before it.
+    best_before = np.minimum.accumulate(np.concatenate(([math.inf], c_all[:-1])))
+    keep = c_all < best_before
+    return [(float(d), float(c)) for d, c in zip(d_all[keep], c_all[keep])]
 
 
 def outer_bound_sweep(

@@ -201,3 +201,18 @@ class TestMisc:
 
     def test_unknown_command_exits_3(self):
         assert run(["transmogrify"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauss-curves", "--rho", "nan"],
+            ["gauss-curves", "--rates", "0.1,nan"],
+            ["discrepancy-report", "--rho", "nan"],
+            ["discrete-region", "--source", "flip01", "--d-budget", "nan"],
+            ["bounds", "--rho", "nan"],
+        ],
+    )
+    def test_nan_flag_exits_3_and_writes_nothing(self, argv, tmp_path):
+        argv = [str(bundled_source_path()) if a == "flip01" else a for a in argv]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 3
+        assert list(tmp_path.iterdir()) == []
