@@ -14,6 +14,12 @@ linear program over the transportation polytope.
 
 Entropies are in nats.  Reconstruction alphabets default to the MMSE support
 joined with the source alphabet; callers may supply custom real supports.
+
+scipy is imported inside the two functions that use it, ``w2_squared_lp``
+(``linprog``) and ``discretize_gaussian`` (``norm``), on their first call.
+Importing ``scipy.optimize`` and ``scipy.stats`` takes about a second, several
+times the rest of ``import rdclab``, and no CLI subcommand calls either
+function, so a module-level import would make every process pay for it.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import norm
 
 from . import _kernels
 from .errors import InfeasibleBudgetError, ParameterError, SizeGuardError
@@ -36,9 +40,18 @@ _MAX_LEVELS = 12
 _MAX_DECODER_COMBOS = 2_000_000
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    """Refuse NaN and infinite entries, which every ``<``/``>`` check lets through."""
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Atoms on the real line: strictly increasing support, probs summing to 1."""
+    """Atoms on the real line: strictly increasing support, probs summing to 1.
+
+    Every entry of ``support`` and ``probs`` must be finite.
+    """
 
     support: np.ndarray
     probs: np.ndarray
@@ -50,6 +63,8 @@ class DiscreteDistribution:
             raise ParameterError("support and probs must be 1-D and equal length")
         if support.size == 0:
             raise ParameterError("distribution must have at least one atom")
+        _require_finite("support", support)
+        _require_finite("probs", probs)
         if np.any(np.diff(support) <= 0.0):
             raise ParameterError("support must be strictly increasing")
         if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-9:
@@ -73,6 +88,7 @@ class DiscreteSource:
 
     ``pmf[i, j] = P(X = x_values[i], S = j)``.  ``s_values`` optionally gives
     numeric label values (defaults to 0..s_size-1) so Cov(X, S) is defined.
+    Every entry of ``x_values``, ``pmf`` and ``s_values`` must be finite.
     """
 
     x_values: np.ndarray
@@ -83,6 +99,8 @@ class DiscreteSource:
     def __post_init__(self) -> None:
         xv = np.asarray(self.x_values, dtype=np.float64)
         pmf = np.asarray(self.pmf, dtype=np.float64)
+        _require_finite("x_values", xv)
+        _require_finite("pmf", pmf)
         if xv.ndim != 1 or np.any(np.diff(xv) <= 0.0):
             raise ParameterError("x_values must be 1-D and strictly increasing")
         if self.s_size < 2:
@@ -99,6 +117,7 @@ class DiscreteSource:
         )
         if sv.shape != (self.s_size,):
             raise ParameterError("s_values must have length s_size")
+        _require_finite("s_values", sv)
         object.__setattr__(self, "x_values", xv)
         object.__setattr__(self, "pmf", pmf)
         object.__setattr__(self, "s_values", sv)
@@ -130,7 +149,10 @@ class DiscreteSource:
 
 @dataclass(frozen=True)
 class Channel:
-    """Row-stochastic matrix: rows index inputs, each row a probability vector."""
+    """Row-stochastic matrix: rows index inputs, each row a probability vector.
+
+    Every entry must be finite.
+    """
 
     matrix: np.ndarray
 
@@ -138,6 +160,7 @@ class Channel:
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
             raise ParameterError("channel matrix must be 2-D and non-empty")
+        _require_finite("channel entries", mat)
         if np.any(mat < 0.0):
             raise ParameterError("channel entries must be nonnegative")
         if np.any(np.abs(mat.sum(axis=1) - 1.0) > _STOCHASTIC_TOL):
@@ -265,8 +288,11 @@ def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Exact transportation LP over the coupling polytope (HiGHS simplex).
 
     Independent oracle for ``w2_squared_quantile``; supports up to 64 atoms
-    per marginal.
+    per marginal.  ``scipy.optimize`` is imported on the first call, not with
+    the module, because no CLI subcommand needs it.
     """
+    from scipy.optimize import linprog
+
     n, m = p.support.size, q.support.size
     if n > _MAX_LP_SUPPORT or m > _MAX_LP_SUPPORT:
         raise SizeGuardError(f"LP oracle limited to {_MAX_LP_SUPPORT} atoms")
@@ -528,7 +554,17 @@ def outer_bound_sweep(
 
 
 def discretize_gaussian(mu: float, var: float, n: int = 10_000) -> DiscreteDistribution:
-    """Equal-mass quantile-midpoint discretisation of N(mu, var)."""
+    """Equal-mass quantile-midpoint discretisation of N(mu, var).
+
+    The atoms are ``mu + sqrt(var) * norm.ppf((k + 0.5) / n)``.
+    ``scipy.stats`` is imported on the first call, not with the module,
+    because no CLI subcommand needs it.  ``statistics.NormalDist().inv_cdf``
+    would avoid scipy, but it differs from ``norm.ppf`` in the last bits of
+    most atoms, so it would change the atoms this function has always
+    returned.
+    """
+    from scipy.stats import norm
+
     if var < 0.0:
         raise ParameterError("variance must be >= 0")
     if n < 1:

@@ -154,6 +154,24 @@ class TestDiscreteRegion:
         assert run(["discrete-region", "--source", str(bad), "--out",
                     str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            # NaN in pmf used to exit 1 with a KeyError from mmse_reduction
+            ("pmf", [[0.5, 0.0], [math.nan, 0.5]]),
+            ("x_values", [-1.0, math.nan]),
+            ("encoder", [[0.9, 0.1], [math.nan, 0.9]]),
+        ],
+    )
+    def test_non_finite_source_exits_3_and_writes_nothing(self, key, value, tmp_path):
+        payload = json.loads(bundled_source_path().read_text())
+        payload[key] = value
+        srcfile = tmp_path / "src.json"
+        srcfile.write_text(json.dumps(payload))  # json writes a NaN token
+        assert run(["discrete-region", "--source", str(srcfile), "--levels", "3",
+                    "--out", str(tmp_path / "o")]) == 3
+        assert list(tmp_path.iterdir()) == [srcfile]
+
     def test_missing_source_exits_3(self, tmp_path):
         assert run(["discrete-region", "--source", str(tmp_path / "none.json"),
                     "--out", str(tmp_path / "o")]) == 3

@@ -62,6 +62,28 @@ def random_source(rng, n_x, n_s):
     return DiscreteSource(xv, n_s, pmf)
 
 
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: DiscreteDistribution([0.0, v], [0.5, 0.5]),
+            # a NaN mass used to pass, and w2_squared_quantile then never returned
+            lambda v: DiscreteDistribution([0.0, 1.0], [0.5, v]),
+            lambda v: DiscreteSource([-1.0, v], 2, [[0.5, 0.0], [0.0, 0.5]]),
+            lambda v: DiscreteSource([-1.0, 1.0], 2, [[0.5, 0.0], [v, 0.5]]),
+            lambda v: DiscreteSource(
+                [-1.0, 1.0], 2, [[0.5, 0.0], [0.0, 0.5]], s_values=[0.0, v]
+            ),
+            lambda v: Channel([[0.9, 0.1], [v, 0.9]]),
+        ],
+        ids=["support", "probs", "x_values", "pmf", "s_values", "channel"],
+    )
+    def test_constructor_rejects(self, make, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            make(bad)
+
+
 class TestMMSEReduction:
     def test_identity_encoder(self):
         src = flip_source()

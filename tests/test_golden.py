@@ -1,7 +1,8 @@
-"""Byte gate: `discrete-region` outputs must match the committed golden files.
+"""Byte gate: CLI outputs must match the committed golden files.
 
 The files under ``tests/golden/`` were written by the CLI itself with the
-argv listed in ``RUNS``.  A change that alters any output byte fails here; a
+argv listed in ``RUNS`` (``discrete-region``) and ``GAUSSIAN_RUNS`` (the
+Gaussian subcommands).  A change that alters any output byte fails here; a
 change that means to alter them regenerates the files with the same argv and
 says which file changed and why.
 """
@@ -28,6 +29,15 @@ RUNS = {
 }
 
 
+# Gaussian subcommands at reduced sizes: default flags would write 189 KB for
+# gauss-curves alone.  Each argv writes the one file named by its key.
+GAUSSIAN_RUNS = {
+    "gauss_curves_points20.csv": ["gauss-curves", "--points", "20"],
+    "discrepancy_grid10.json": ["discrepancy-report", "--grid-c", "10", "--grid-r", "10"],
+    "bounds_instances20.json": ["bounds", "--instances", "20"],
+}
+
+
 def _first_difference(got: str, want: str) -> str:
     got_lines, want_lines = got.splitlines(), want.splitlines()
     for n, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
@@ -46,3 +56,11 @@ def test_discrete_region_matches_golden(name, tmp_path):
         got = (tmp_path / f"{name}.{ext}").read_text()
         want = (GOLDEN / f"{name}.{ext}").read_text()
         assert got == want, f"{name}.{ext}: {_first_difference(got, want)}"
+
+
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_RUNS))
+def test_gaussian_subcommand_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert main([*GAUSSIAN_RUNS[name], "--out", str(out)]) == 0
+    got, want = out.read_text(), (GOLDEN / name).read_text()
+    assert got == want, f"{name}: {_first_difference(got, want)}"
