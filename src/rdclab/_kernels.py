@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 _CHUNK = 8192
+OUTER_TOL = 1e-12  # slack below -OUTER_TOL counts as an outer-bound violation
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,8 @@ def cmin_scan(rows, n_z, row_d, joint_zs, d_budget):
     return best_idx, best_c
 
 
-def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol=1e-12):
-    """Count outer-bound violations D < residual + W2^2(p_xt, p_xhat) - tol.
+def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual):
+    """Count outer-bound violations D < residual + W2^2(p_xt, p_xhat) - OUTER_TOL.
 
     Returns (violations, min_slack) over every decoder on the grid.
     """
@@ -180,5 +181,5 @@ def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol=1e-12):
         w2 = np.array([_w2_quantile_py(vals, p_xtilde, vals, p) for p in p_xhat])
         slack = d - residual - w2
         min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.count_nonzero(slack < -tol))
+        violations += int(np.count_nonzero(slack < -OUTER_TOL))
     return violations, min_slack

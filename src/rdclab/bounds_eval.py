@@ -37,6 +37,9 @@ from .gaussian_model import GaussianPairSource
 from .gaussian_tradeoff import c_threshold
 from .universal_gaussian import encoder_for_rate, mmse_gain, region_sweep
 
+_SANDWICH_TOL = 1e-12
+_GAMMA_GRID_SIZE = 61  # linear gains in [0, 3 sd(X)] swept per harness instance
+
 
 @dataclass(frozen=True)
 class Theorem5Instance:
@@ -93,11 +96,11 @@ def ratio_lower_bound(inst: Theorem5Instance) -> float:
     return numerator / (2.0 * inst.d1)
 
 
-def sandwich_check(d_b: float, d3: float, d1: float, tol: float = 1e-12) -> bool:
-    """D_b <= D3 <= 2*D1 within tolerance."""
+def sandwich_check(d_b: float, d3: float, d1: float) -> bool:
+    """D_b <= D3 <= 2*D1 within a tolerance of 1e-12."""
     if min(d_b, d3, d1) < 0.0:
         raise ParameterError("sandwich arguments must be >= 0")
-    return bool(d_b <= d3 + tol and d3 <= 2.0 * d1 + tol)
+    return bool(d_b <= d3 + _SANDWICH_TOL and d3 <= 2.0 * d1 + _SANDWICH_TOL)
 
 
 def upper_left_bounds(inst: Theorem5Instance) -> tuple[float, float]:
@@ -137,7 +140,6 @@ def theorem5_gaussian_harness(
     rate: float | None = None,
     seed: int = 0,
     n: int = 1,
-    gamma_grid_size: int = 61,
 ) -> list[HarnessRecord]:
     """Evaluate every corner bound on rate-indexed Gaussian instances.
 
@@ -164,7 +166,7 @@ def theorem5_gaussian_harness(
         sigma3 = abs(mmse_gain(rep))  # sigma_x * sqrt(1 - e^{-2R}), var_z = 1
         c3 = c_threshold(src, r)
         gammas = np.union1d(
-            np.linspace(0.0, 3.0 * math.sqrt(src.var_x), gamma_grid_size),
+            np.linspace(0.0, 3.0 * math.sqrt(src.var_x), _GAMMA_GRID_SIZE),
             [mmse_gain(rep)],
         )
         sweep = region_sweep(src, rep, gammas)

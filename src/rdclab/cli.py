@@ -277,11 +277,7 @@ def cmd_discrete_region(args) -> int:
         raise InfeasibleBudgetError(
             f"no decoder on the grid meets the distortion budget {d_budget}"
         )
-    red = discrete_region.mmse_reduction(src, encoder)
-    ext_b = (
-        red.residual + discrete_region.w2_squared_quantile(red.p_xtilde, sol.p_xhat),
-        sol.c_min,
-    )
+    ext_b = (sol.d_b, sol.c_min)
     violations, min_slack, checked = discrete_region.outer_bound_sweep(
         src, encoder, levels
     )

@@ -12,8 +12,14 @@ splits exactly (Pythagorean identity) as E[(X-X̂)^2] = E[(X-X̃)^2] +
 E[(X̃-X̂)^2], and the quantile-coupling transport cost is cross-checked by a
 linear program over the transportation polytope.
 
-Entropies are in nats.  Reconstruction alphabets default to the MMSE support
-joined with the source alphabet; callers may supply custom real supports.
+Entropies are in nats.  The grid solvers (``region_approx``,
+``c_min_solver`` with ``extreme_point_b``, and ``outer_bound_sweep``) decode
+onto one alphabet, the MMSE support joined with the source alphabet; a custom
+real support remains only on ``outer_bound_check``.  The three solvers take
+their decoder grid from ``_grid``, which enforces ``levels >= 1`` and the
+2,000,000-decoder cap for all of them.  Two guards stay per solver:
+``region_approx`` limits alphabets to 6 symbols and levels to 12, and
+``c_min_solver`` needs ``levels >= 3``.
 
 scipy is imported inside the two functions that use it, ``w2_squared_lp``
 (``linprog``) and ``discretize_gaussian`` (``norm``), on their first call.
@@ -188,10 +194,15 @@ class MMSEReduction:
 
 @dataclass(frozen=True)
 class CMinSolution:
-    """Outcome of the minimum-classification-loss search under an MSE budget."""
+    """Outcome of the minimum-classification-loss search under an MSE budget.
+
+    ``d_b`` is the distortion of extreme point B, the outer bound at the
+    minimising decoder: E[(X - X̃)^2] + W2^2(p_X̃, p_X̂ at c_min).
+    """
 
     feasible: bool
     c_min: float | None = None
+    d_b: float | None = None
     decoder: Channel | None = None
     p_xhat: DiscreteDistribution | None = None
 
@@ -348,7 +359,6 @@ def outer_bound_check(
     encoder: Channel,
     decoder: Channel,
     xhat_values: np.ndarray | None = None,
-    tol: float = 1e-12,
 ) -> OuterBoundReport:
     """Exact check of D >= residual + W2^2(p_X̃, p_X̂) for one decoder.
 
@@ -374,8 +384,9 @@ def outer_bound_check(
         red.p_xtilde.support, red.p_xtilde.probs, vals, p_xhat
     )
     rhs = red.residual + w2
+    holds = bool(d >= rhs - _kernels.OUTER_TOL)
     return OuterBoundReport(
-        d=d, c=c, rhs=rhs, holds=bool(d >= rhs - tol), residual=red.residual, w2_term=w2
+        d=d, c=c, rhs=rhs, holds=holds, residual=red.residual, w2_term=w2
     )
 
 
@@ -411,30 +422,33 @@ def _simplex_grid(levels: int, m: int) -> np.ndarray:
     return rows
 
 
-def _enumeration_arrays(
-    src: DiscreteSource, encoder: Channel, levels: int, vals: np.ndarray
-):
-    rows = _simplex_grid(levels, int(vals.size))
-    n_z = encoder.n_out
-    combos = rows.shape[0] ** n_z
+def _grid(src: DiscreteSource, encoder: Channel, levels: int):
+    """The decoder grid of the three grid solvers, built in one place.
+
+    Returns ``(red, vals, rows, row_d, joint_zs)``: the MMSE reduction, the
+    reconstruction alphabet (MMSE support joined with the source alphabet),
+    the simplex-grid rows over it, ``row_d[z, r]`` the distortion symbol z
+    contributes when it decodes with row r, and the joint p(z, s).
+    """
+    if levels < 1:
+        raise ParameterError("levels must be >= 1")
+    red = mmse_reduction(src, encoder)
+    vals = np.union1d(red.p_xtilde.support, src.x_values)
+    combos = math.comb(levels + vals.size - 1, vals.size - 1) ** encoder.n_out
     if combos > _MAX_DECODER_COMBOS:
         raise SizeGuardError(
             f"{combos} decoder combinations exceed the enumeration cap "
             f"({_MAX_DECODER_COMBOS})"
         )
+    rows = _simplex_grid(levels, int(vals.size))
     sq = (src.x_values[:, None] - vals[None, :]) ** 2
     a = encoder.matrix.T @ (src.p_x[:, None] * sq)  # (n_z, n_k)
     row_d = np.ascontiguousarray(a @ rows.T)  # (n_z, n_rows)
-    b = joint_zs(src, encoder)  # (n_z, n_s)
-    return rows, row_d, b
+    return red, vals, rows, row_d, joint_zs(src, encoder)
 
 
 def c_min_solver(
-    src: DiscreteSource,
-    encoder: Channel,
-    d_budget: float,
-    levels: int,
-    xhat_values: np.ndarray | None = None,
+    src: DiscreteSource, encoder: Channel, d_budget: float, levels: int
 ) -> CMinSolution:
     """Grid search for the decoder minimising H(S | X̂) within an MSE budget.
 
@@ -443,54 +457,38 @@ def c_min_solver(
     """
     if levels < 3:
         raise ParameterError("levels must be >= 3")
-    _check_encoder(src, encoder)
-    vals = (
-        default_xhat_values(src, encoder)
-        if xhat_values is None
-        else np.asarray(xhat_values, dtype=np.float64)
-    )
-    rows, row_d, b = _enumeration_arrays(src, encoder, levels, vals)
+    red, vals, rows, row_d, b = _grid(src, encoder, levels)
     idx, best_c = _kernels.cmin_scan(rows, encoder.n_out, row_d, b, float(d_budget))
     if idx is None:
         return CMinSolution(feasible=False)
     decoder = Channel(rows[idx])
-    p_xhat = _marginal_xhat(src, encoder, decoder)
+    p_xhat = DiscreteDistribution(vals, _marginal_xhat(src, encoder, decoder))
     return CMinSolution(
         feasible=True,
         c_min=best_c,
+        d_b=red.residual + w2_squared_quantile(red.p_xtilde, p_xhat),
         decoder=decoder,
-        p_xhat=DiscreteDistribution(vals, p_xhat),
+        p_xhat=p_xhat,
     )
 
 
 def extreme_point_b(
-    src: DiscreteSource,
-    encoder: Channel,
-    d_budget: float,
-    levels: int,
-    xhat_values: np.ndarray | None = None,
+    src: DiscreteSource, encoder: Channel, d_budget: float, levels: int
 ) -> tuple[float, float]:
     """Minimum-classification-loss corner:
     (residual + W2^2(p_X̃, p_X̂_at_c_min), C_min)."""
-    sol = c_min_solver(src, encoder, d_budget, levels, xhat_values)
+    sol = c_min_solver(src, encoder, d_budget, levels)
     if not sol.feasible:
         raise InfeasibleBudgetError(
             f"no grid decoder meets the distortion budget {d_budget}"
         )
-    red = mmse_reduction(src, encoder)
-    w2 = w2_squared_quantile(red.p_xtilde, sol.p_xhat)
-    return red.residual + w2, sol.c_min
+    return sol.d_b, sol.c_min
 
 
 def region_approx(
-    src: DiscreteSource,
-    encoder: Channel,
-    levels: int,
-    xhat_values: np.ndarray | None = None,
+    src: DiscreteSource, encoder: Channel, levels: int
 ) -> list[tuple[float, float]]:
     """Pareto-minimal (D, C) frontier over the enumerated decoder grid."""
-    if levels < 1:
-        raise ParameterError("levels must be >= 1")
     _check_encoder(src, encoder)
     if (
         src.x_values.size > _MAX_ALPHABET
@@ -502,12 +500,7 @@ def region_approx(
             f"alphabets are limited to {_MAX_ALPHABET} symbols and levels to "
             f"{_MAX_LEVELS} for exact enumeration"
         )
-    vals = (
-        default_xhat_values(src, encoder)
-        if xhat_values is None
-        else np.asarray(xhat_values, dtype=np.float64)
-    )
-    rows, row_d, b = _enumeration_arrays(src, encoder, levels, vals)
+    _, _, rows, row_d, b = _grid(src, encoder, levels)
     d_all, c_all = _kernels.dc_scan(rows, encoder.n_out, row_d, b)
     order = np.lexsort((c_all, d_all))  # by D, ties by C
     d_all, c_all = d_all[order], c_all[order]
@@ -518,37 +511,20 @@ def region_approx(
 
 
 def outer_bound_sweep(
-    src: DiscreteSource,
-    encoder: Channel,
-    levels: int,
-    xhat_values: np.ndarray | None = None,
-    tol: float = 1e-12,
+    src: DiscreteSource, encoder: Channel, levels: int
 ) -> tuple[int, float, int]:
     """Outer-bound check across every enumerated decoder.
 
     Returns (violations, min_slack, decoders_checked) where slack is
     D - residual - W2^2(p_X̃, p_X̂).
     """
-    _check_encoder(src, encoder)
-    vals = (
-        default_xhat_values(src, encoder)
-        if xhat_values is None
-        else np.asarray(xhat_values, dtype=np.float64)
-    )
-    rows, row_d, b = _enumeration_arrays(src, encoder, levels, vals)
-    red = mmse_reduction(src, encoder)
-    # p_X̃ expressed on the common alphabet so both marginals share a support.
+    red, vals, rows, row_d, _ = _grid(src, encoder, levels)
+    # p_X̃ on the grid alphabet, which holds every MMSE atom.
     p_xt = np.zeros(vals.size)
-    for value, prob in zip(red.p_xtilde.support, red.p_xtilde.probs):
-        hits = np.nonzero(vals == value)[0]
-        if hits.size != 1:
-            raise ParameterError(
-                "xhat alphabet must contain every MMSE atom for the sweep"
-            )
-        p_xt[hits[0]] = prob
+    p_xt[np.searchsorted(vals, red.p_xtilde.support)] = red.p_xtilde.probs
     p_z = src.p_x @ encoder.matrix
     violations, min_slack = _kernels.outer_scan(
-        rows, encoder.n_out, row_d, p_z, vals, p_xt, red.residual, tol
+        rows, encoder.n_out, row_d, p_z, vals, p_xt, red.residual
     )
     return violations, min_slack, rows.shape[0] ** encoder.n_out
 

@@ -28,6 +28,7 @@ LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 class GaussianPairSource:
     """Jointly Gaussian (X, S) pair: means, variances and Cov(X, S).
 
+    Means and Cov(X, S) must be finite and variances positive and finite.
     `allow_degenerate` must be set explicitly to permit |Cov(X,S)| equal to
     sigma_x * sigma_s (a perfectly correlated pair).
     """
@@ -40,6 +41,9 @@ class GaussianPairSource:
     allow_degenerate: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("mu_x", "mu_s", "cov_xs"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.var_x > 0.0) or not math.isfinite(self.var_x):
             raise ParameterError(f"var_x must be positive, got {self.var_x}")
         if not (self.var_s > 0.0) or not math.isfinite(self.var_s):

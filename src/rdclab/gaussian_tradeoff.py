@@ -76,6 +76,12 @@ class ConstraintSet:
                 raise ParameterError(f"invalid constraint pair ({d}, {c})")
 
 
+def _check_closs(c: float) -> None:
+    """Refuse a NaN classification budget; +inf and -inf keep their meaning."""
+    if math.isnan(c):
+        raise ParameterError("classification budget c must not be NaN")
+
+
 def c_min(src: GaussianPairSource) -> float:
     """Smallest achievable classification loss: 0.5*ln(1 - rho^2) + h(S).
 
@@ -135,6 +141,7 @@ def rdc_rate(src: GaussianPairSource, d: float, c: float) -> FeasibilityVerdict:
     """
     if d < 0.0 or math.isnan(d):
         raise ParameterError(f"distortion budget must be >= 0, got {d}")
+    _check_closs(c)
     if c < c_min(src):
         return FeasibilityVerdict("infeasible", branch="infeasible")
     t_d = max(0.0, 1.0 - d / src.var_x) if d > 0.0 else 1.0
@@ -170,6 +177,7 @@ def dcr_distortion_printed(
     """
     if rate < 0.0 or math.isnan(rate):
         raise ParameterError(f"rate must be >= 0, got {rate}")
+    _check_closs(c)
     cmin = c_min(src)
     if c < cmin:
         return FeasibilityVerdict("infeasible", branch="infeasible")
@@ -200,6 +208,7 @@ def dcr_distortion_oracle(
     """
     if rate < 0.0 or math.isnan(rate):
         raise ParameterError(f"rate must be >= 0, got {rate}")
+    _check_closs(c)
     t_min = _t_required_by_classification(src, c)
     t_max = -math.expm1(-2.0 * rate)
     if t_min > t_max:
@@ -230,6 +239,7 @@ def grid_oracle_rate(
         raise ParameterError("grid resolution must be at least 16 per axis")
     if d < 0.0 or math.isnan(d):
         raise ParameterError(f"distortion budget must be >= 0, got {d}")
+    _check_closs(c)
     rho_sq = src.cov_xs**2 / (src.var_x * src.var_s)
     h_s = differential_entropy(src.var_s)
     found, rate, mse, ce = _kernels.grid_rate_scan(

@@ -33,6 +33,8 @@ from .gaussian_model import (
 )
 from .gaussian_tradeoff import ConstraintSet, c_min, c_threshold, rdc_rate
 
+_BISECTION_TOL = 1e-9  # bracket width at which rate_penalty stops bisecting
+
 
 @dataclass(frozen=True)
 class GaussianRepresentation:
@@ -148,13 +150,11 @@ def mmse_gain(rep: GaussianRepresentation) -> float:
     return rep.cov_xz / rep.var_z
 
 
-def rate_penalty(
-    src: GaussianPairSource, theta: ConstraintSet, tol: float = 1e-9
-) -> float:
+def rate_penalty(src: GaussianPairSource, theta: ConstraintSet) -> float:
     """Extra rate a single encoder needs beyond the per-pair supremum.
 
     R_sup is the supremum of the per-pair optimal rates over the set.  R_univ
-    is found by bisection (to ``tol``) as the smallest rate whose minimum-MSE
+    is found by bisection (to 1e-9) as the smallest rate whose minimum-MSE
     decoder point (var_x*e^{-2R}, c_threshold(R)) dominates every pair
     component-wise; gamma-invariance of the loss makes that single decoder
     test sufficient.  Returns R_univ - R_sup.
@@ -180,7 +180,7 @@ def rate_penalty(
         raise ParameterError("no finite rate dominates the constraint set")
     if dominates(lo):
         return lo - r_sup
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if dominates(mid):
             hi = mid

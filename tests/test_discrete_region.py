@@ -5,10 +5,17 @@ flip-0.1 encoder, for which every quantity is known in closed form
 (residual 0.36, conditional entropy H_b(0.1) = 0.325083 nats).
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rdclab
 
 from rdclab import (
     Channel,
@@ -35,6 +42,7 @@ from rdclab.discrete_region import (
     joint_zs,
     outer_bound_sweep,
 )
+from rdclab.cli import bundled_source_path, load_discrete_source
 
 HB01 = 0.32508297339144824  # binary entropy of 0.1 in nats
 LN2 = math.log(2.0)
@@ -330,6 +338,57 @@ class TestCMinSolver:
     def test_levels_guard(self):
         with pytest.raises(ParameterError):
             c_min_solver(flip_source(), flip_encoder(), 0.4, 2)
+
+
+LEVELS_PROBE = """
+import json
+import numpy as np
+from rdclab import Channel, DiscreteSource, c_min_solver, region_approx
+from rdclab.discrete_region import outer_bound_sweep
+
+src = DiscreteSource(np.array([-1.0, 1.0]), 2, np.array([[0.5, 0.0], [0.0, 0.5]]))
+enc = Channel(np.array([[0.9, 0.1], [0.1, 0.9]]))
+solvers = {
+    "outer_bound_sweep": lambda levels: outer_bound_sweep(src, enc, levels),
+    "region_approx": lambda levels: region_approx(src, enc, levels),
+    "c_min_solver": lambda levels: c_min_solver(src, enc, 0.4, levels),
+}
+raised = {}
+for name, solve in solvers.items():
+    try:
+        solve(LEVELS)
+        raised[name] = None
+    except Exception as exc:
+        raised[name] = type(exc).__name__
+print(json.dumps(raised))
+"""
+
+
+class TestLevelsContract:
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_levels_below_one_raise_parameter_error(self, levels):
+        # A fresh process with a timeout: a solver that loops forever on a
+        # bad level fails the test instead of stalling the suite.
+        env = dict(os.environ)
+        src_dir = str(Path(rdclab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", LEVELS_PROBE.replace("LEVELS", str(levels))],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        raised = json.loads(proc.stdout.splitlines()[-1])
+        assert raised == dict.fromkeys(raised, "ParameterError")
+        assert len(raised) == 3
+
+    @pytest.mark.parametrize("budget", ["var_x", 0.365])
+    def test_extreme_point_b_is_the_solution_field(self, budget):
+        src, enc = load_discrete_source(bundled_source_path())
+        d_budget = src.var_x() if budget == "var_x" else budget
+        sol = c_min_solver(src, enc, d_budget, 8)
+        red = mmse_reduction(src, enc)
+        assert sol.d_b == red.residual + w2_squared_quantile(red.p_xtilde, sol.p_xhat)
+        assert extreme_point_b(src, enc, d_budget, 8) == (sol.d_b, sol.c_min)
 
 
 class TestRegionApprox:

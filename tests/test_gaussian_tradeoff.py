@@ -273,3 +273,37 @@ class TestBoundaryCurve:
     def test_requires_two_points(self):
         with pytest.raises(ParameterError):
             boundary_curve(UNIT, 0.3, 1)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: GaussianPairSource(math.nan, 1, 0, 1, 0.5), id="mu_x-nan"),
+            pytest.param(lambda: GaussianPairSource(math.inf, 1, 0, 1, 0.5), id="mu_x-inf"),
+            pytest.param(lambda: GaussianPairSource(0, 1, math.nan, 1, 0.5), id="mu_s-nan"),
+            pytest.param(lambda: GaussianPairSource(0, 1, -math.inf, 1, 0.5), id="mu_s-inf"),
+            pytest.param(lambda: GaussianPairSource(0, 1, 0, 1, math.nan), id="cov_xs-nan"),
+            pytest.param(lambda: rdc_rate(UNIT, 0.5, math.nan), id="rdc_rate"),
+            pytest.param(lambda: dcr_distortion_oracle(UNIT, math.nan, 0.2), id="oracle"),
+            pytest.param(lambda: dcr_distortion_printed(UNIT, math.nan, 0.2), id="printed"),
+            pytest.param(lambda: grid_oracle_rate(UNIT, 0.5, math.nan), id="grid"),
+        ],
+    )
+    def test_non_finite_is_rejected(self, call):
+        with pytest.raises(ParameterError):
+            call()
+
+    @pytest.mark.parametrize(
+        "solver, args",
+        [
+            (rdc_rate, lambda c: (0.5, c)),
+            (dcr_distortion_oracle, lambda c: (c, 0.2)),
+            (dcr_distortion_printed, lambda c: (c, 0.2)),
+            (grid_oracle_rate, lambda c: (0.5, c)),
+        ],
+    )
+    def test_infinite_closs_keeps_its_meaning(self, solver, args):
+        # +inf is no classification budget, -inf one that nothing meets.
+        assert solver(UNIT, *args(math.inf)).status == "feasible"
+        assert solver(UNIT, *args(-math.inf)).status == "infeasible"

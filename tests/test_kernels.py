@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rdclab import _kernels
-from rdclab.discrete_region import Channel, DiscreteSource, _enumeration_arrays
+from rdclab.discrete_region import Channel, DiscreteSource, _grid
 
 
 def _grid_rate_scan_py(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
@@ -190,8 +190,8 @@ def flip_arrays(levels=6):
         np.array([-1.0, 1.0]), 2, np.array([[0.5, 0.0], [0.0, 0.5]])
     )
     enc = Channel(np.array([[0.9, 0.1], [0.1, 0.9]]))
-    vals = np.array([-1.0, -0.8, 0.8, 1.0])
-    return _enumeration_arrays(src, enc, levels, vals), vals
+    _, vals, rows, row_d, b = _grid(src, enc, levels)
+    return (rows, row_d, b), vals
 
 
 class TestAgainstLoopOracles:
@@ -229,7 +229,7 @@ class TestAgainstLoopOracles:
         (rows, row_d, b), vals = flip_arrays()
         p_z = b.sum(axis=1)
         p_xt = np.array([0.0, 0.5, 0.5, 0.0])
-        got = _kernels.outer_scan(rows, 2, row_d, p_z, vals, p_xt, 0.36, 1e-12)
+        got = _kernels.outer_scan(rows, 2, row_d, p_z, vals, p_xt, 0.36)
         ref = _outer_scan_py(rows, 2, row_d, p_z, vals, p_xt, 0.36, 1e-12)
         assert got[0] == ref[0]
         assert got[1] == pytest.approx(ref[1], abs=1e-13)
