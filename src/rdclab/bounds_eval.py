@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_finite, check_nonneg
 from .gaussian_model import GaussianPairSource
 from .gaussian_tradeoff import c_threshold
 from .universal_gaussian import encoder_for_rate, mmse_gain, region_sweep
@@ -52,45 +52,37 @@ class Theorem5Instance:
     d_b: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.var_x > 0.0):
-            raise ParameterError(f"var_x must be positive, got {self.var_x}")
-        if not (0.0 <= self.d1 <= self.var_x):
+        for name in ("var_x", "sigma_xhat3", "d1", "d3", "d_b"):
+            value = getattr(self, name)
+            if value is not None:
+                check_finite(name, value)
+                check_nonneg(name, value)
+        if self.var_x == 0.0 or self.d1 > self.var_x:
             raise ParameterError(
-                f"d1 must lie in [0, var_x] = [0, {self.var_x}], got {self.d1}"
+                f"need var_x > 0 and d1 in [0, var_x], got {self.var_x}, {self.d1}"
             )
-        if self.sigma_xhat3 < 0.0:
-            raise ParameterError("sigma_xhat3 must be >= 0")
-        if self.d3 < 0.0:
-            raise ParameterError("d3 must be >= 0")
-        if self.d_b is not None and self.d_b < 0.0:
-            raise ParameterError("d_b must be >= 0")
 
 
-def gap_lower_bound(inst: Theorem5Instance) -> float:
-    """Lower bound on D3 - D_b; may be negative (vacuous) away from the corners."""
+def _lower_bound_numerator(inst: Theorem5Instance) -> float:
+    """var_x + sigma_xhat3^2 - 2*sigma_xhat3*sqrt(var_x - D1), shared by both
+    lower bounds, which assume var_x + sigma_xhat3^2 - D3 >= 0."""
     if inst.var_x + inst.sigma_xhat3**2 - inst.d3 < 0.0:
-        raise ParameterError(
-            "gap bound assumes var_x + sigma_xhat3^2 - d3 >= 0"
-        )
+        raise ParameterError("lower bounds assume var_x + sigma_xhat3^2 - d3 >= 0")
     return (
         inst.var_x
         + inst.sigma_xhat3**2
         - 2.0 * inst.sigma_xhat3 * math.sqrt(inst.var_x - inst.d1)
-        - 2.0 * inst.d1
     )
+
+
+def gap_lower_bound(inst: Theorem5Instance) -> float:
+    """Lower bound on D3 - D_b; may be negative (vacuous) away from the corners."""
+    return _lower_bound_numerator(inst) - 2.0 * inst.d1
 
 
 def ratio_lower_bound(inst: Theorem5Instance) -> float:
     """Lower bound on D3 / D_b; +inf at d1 = 0 (division guard)."""
-    if inst.var_x + inst.sigma_xhat3**2 - inst.d3 < 0.0:
-        raise ParameterError(
-            "ratio bound assumes var_x + sigma_xhat3^2 - d3 >= 0"
-        )
-    numerator = (
-        inst.var_x
-        + inst.sigma_xhat3**2
-        - 2.0 * inst.sigma_xhat3 * math.sqrt(inst.var_x - inst.d1)
-    )
+    numerator = _lower_bound_numerator(inst)
     if inst.d1 == 0.0:
         return math.inf
     return numerator / (2.0 * inst.d1)
@@ -98,8 +90,8 @@ def ratio_lower_bound(inst: Theorem5Instance) -> float:
 
 def sandwich_check(d_b: float, d3: float, d1: float) -> bool:
     """D_b <= D3 <= 2*D1 within a tolerance of 1e-12."""
-    if min(d_b, d3, d1) < 0.0:
-        raise ParameterError("sandwich arguments must be >= 0")
+    for name, value in (("d_b", d_b), ("d3", d3), ("d1", d1)):
+        check_nonneg(name, value)
     return bool(d_b <= d3 + _SANDWICH_TOL and d3 <= 2.0 * d1 + _SANDWICH_TOL)
 
 
@@ -152,17 +144,15 @@ def theorem5_gaussian_harness(
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if rate is not None and (rate < 0.0 or math.isnan(rate)):
-        raise ParameterError(f"rate must be >= 0, got {rate}")
+    if rate is not None:
+        check_nonneg("rate", rate)
     rng = np.random.default_rng(seed)
     rates = np.full(n, float(rate)) if rate is not None else rng.uniform(0.01, 2.5, n)
     records = []
     for r in rates:
         r = float(r)
         rep = encoder_for_rate(src, r)
-        shrink = math.exp(-2.0 * r)
-        d1 = src.var_x * shrink
-        d3 = d1
+        d1 = d3 = src.var_x * math.exp(-2.0 * r)
         sigma3 = abs(mmse_gain(rep))  # sigma_x * sqrt(1 - e^{-2R}), var_z = 1
         c3 = c_threshold(src, r)
         gammas = np.union1d(
@@ -175,9 +165,7 @@ def theorem5_gaussian_harness(
         # the band rather than demanding exact float equality.
         band = 1e-9 * max(1.0, abs(min_c))
         d_b = float(min(d for d, c in sweep if c <= min_c + band))
-        inst = Theorem5Instance(
-            var_x=src.var_x, sigma_xhat3=sigma3, d1=d1, d3=d3, d_b=d_b
-        )
+        inst = Theorem5Instance(src.var_x, sigma3, d1, d3, d_b)
         gap_lb = gap_lower_bound(inst)
         ratio_lb = ratio_lower_bound(inst)
         gap_holds = bool((d3 - d_b) >= gap_lb - 1e-12)

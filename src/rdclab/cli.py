@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds_eval, discrete_region, gaussian_tradeoff, universal_gaussian
 from .errors import InfeasibleBudgetError, ParameterError, RdcError, SizeGuardError
-from .gaussian_model import GaussianPairSource, differential_entropy
+from .gaussian_model import GaussianPairSource
 
 CURVE_HEADER = "curve_id,model,rate_nats,c_nats,d,branch"
 
@@ -149,6 +149,9 @@ def load_discrete_source(path: str | Path):
 
 
 def _gaussian_source(args) -> GaussianPairSource:
+    """The (X, S) pair of the Gaussian subcommands, checked before any other flag."""
+    if abs(args.rho) >= 1.0:
+        raise InfeasibleBudgetError(f"|rho| = {abs(args.rho)} >= 1 is not a correlation")
     if args.sigma_x <= 0.0 or args.sigma_s <= 0.0:
         raise ParameterError("--sigma-x and --sigma-s must be positive")
     return GaussianPairSource(
@@ -161,16 +164,12 @@ def _gaussian_source(args) -> GaussianPairSource:
 
 
 def cmd_gauss_curves(args) -> int:
-    if abs(args.rho) >= 1.0:
-        print(f"infeasible configuration: |rho| = {abs(args.rho)} >= 1", file=sys.stderr)
-        return 2
+    src = _gaussian_source(args)
     rates = args.rates
     if not rates or any(r < 0.0 for r in rates):
         raise ParameterError("--rates must be a comma list of nonnegative numbers")
     if args.points < 2:
         raise ParameterError("--points must be >= 2")
-    src = _gaussian_source(args)
-    h_s = differential_entropy(src.var_s)
     records: list[CurveRecord] = []
 
     for rate in rates:
@@ -183,7 +182,7 @@ def cmd_gauss_curves(args) -> int:
             )
     for rate in rates:
         thr = gaussian_tradeoff.c_threshold(src, rate)
-        cs = np.unique(np.linspace(thr, h_s, args.points))
+        cs = np.unique(np.linspace(thr, src.h_s, args.points))
         for c in cs:
             verdict = gaussian_tradeoff.dcr_distortion_oracle(src, float(c), rate)
             records.append(
@@ -213,16 +212,12 @@ def cmd_gauss_curves(args) -> int:
 
 
 def cmd_discrepancy_report(args) -> int:
-    if abs(args.rho) >= 1.0:
-        print(f"infeasible configuration: |rho| = {abs(args.rho)} >= 1", file=sys.stderr)
-        return 2
+    src = _gaussian_source(args)
     if args.grid_c < 2 or args.grid_r < 2:
         raise ParameterError("--grid-c and --grid-r must be >= 2")
-    src = _gaussian_source(args)
-    h_s = differential_entropy(src.var_s)
     cmin = gaussian_tradeoff.c_min(src)
-    span = max(h_s - cmin, 0.25)
-    c_grid = np.linspace(cmin - 0.1 * span, h_s + 0.1 * span, args.grid_c)
+    span = max(src.h_s - cmin, 0.25)
+    c_grid = np.linspace(cmin - 0.1 * span, src.h_s + 0.1 * span, args.grid_c)
     r_grid = np.linspace(0.02, 0.5, args.grid_r)
     cells = []
     summary: dict[str, dict[str, int]] = {}
@@ -322,12 +317,9 @@ def cmd_discrete_region(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if abs(args.rho) >= 1.0:
-        print(f"infeasible configuration: |rho| = {abs(args.rho)} >= 1", file=sys.stderr)
-        return 2
+    src = _gaussian_source(args)
     if args.rate is not None and args.instances != 1:
         raise ParameterError("use either --rate or --instances, not both")
-    src = _gaussian_source(args)
     records = bounds_eval.theorem5_gaussian_harness(
         src, rate=args.rate, seed=args.seed, n=args.instances
     )
@@ -447,6 +439,9 @@ def main(argv=None) -> int:
         return 2
     except (ParameterError, RdcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # a finite flag whose square or exponential overflows
+        print(f"error: a flag value is out of floating-point range ({exc})", file=sys.stderr)
         return 3
 
 

@@ -38,18 +38,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import InfeasibleBudgetError, ParameterError, SizeGuardError
+from .errors import check_finite_array, check_not_nan
 
 _STOCHASTIC_TOL = 1e-12
 _MAX_LP_SUPPORT = 64
 _MAX_ALPHABET = 6
 _MAX_LEVELS = 12
 _MAX_DECODER_COMBOS = 2_000_000
-
-
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    """Refuse NaN and infinite entries, which every ``<``/``>`` check lets through."""
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,8 @@ class DiscreteDistribution:
             raise ParameterError("support and probs must be 1-D and equal length")
         if support.size == 0:
             raise ParameterError("distribution must have at least one atom")
-        _require_finite("support", support)
-        _require_finite("probs", probs)
+        check_finite_array("support", support)
+        check_finite_array("probs", probs)
         if np.any(np.diff(support) <= 0.0):
             raise ParameterError("support must be strictly increasing")
         if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-9:
@@ -105,8 +100,8 @@ class DiscreteSource:
     def __post_init__(self) -> None:
         xv = np.asarray(self.x_values, dtype=np.float64)
         pmf = np.asarray(self.pmf, dtype=np.float64)
-        _require_finite("x_values", xv)
-        _require_finite("pmf", pmf)
+        check_finite_array("x_values", xv)
+        check_finite_array("pmf", pmf)
         if xv.ndim != 1 or np.any(np.diff(xv) <= 0.0):
             raise ParameterError("x_values must be 1-D and strictly increasing")
         if self.s_size < 2:
@@ -123,7 +118,7 @@ class DiscreteSource:
         )
         if sv.shape != (self.s_size,):
             raise ParameterError("s_values must have length s_size")
-        _require_finite("s_values", sv)
+        check_finite_array("s_values", sv)
         object.__setattr__(self, "x_values", xv)
         object.__setattr__(self, "pmf", pmf)
         object.__setattr__(self, "s_values", sv)
@@ -166,7 +161,7 @@ class Channel:
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
             raise ParameterError("channel matrix must be 2-D and non-empty")
-        _require_finite("channel entries", mat)
+        check_finite_array("channel entries", mat)
         if np.any(mat < 0.0):
             raise ParameterError("channel entries must be nonnegative")
         if np.any(np.abs(mat.sum(axis=1) - 1.0) > _STOCHASTIC_TOL):
@@ -322,11 +317,9 @@ def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return float(res.fun)
 
 
-def default_xhat_values(src: DiscreteSource, encoder: Channel) -> np.ndarray:
-    """MMSE-support atoms joined with the source alphabet, sorted."""
-    red = mmse_reduction(src, encoder)
-    merged = np.union1d(red.p_xtilde.support, src.x_values)
-    return merged
+def default_xhat_values(src: DiscreteSource, red: MMSEReduction) -> np.ndarray:
+    """Reconstruction alphabet: MMSE atoms of ``red`` joined with the source's."""
+    return np.union1d(red.p_xtilde.support, src.x_values)
 
 
 def deterministic_decoder(
@@ -365,15 +358,14 @@ def outer_bound_check(
     The joint over (S, X, Z, X̂) is enumerated exactly; D is the achieved
     MSE, C the achieved H(S | X̂).
     """
-    _check_encoder(src, encoder)
+    red = mmse_reduction(src, encoder)
     vals = (
-        default_xhat_values(src, encoder)
+        default_xhat_values(src, red)
         if xhat_values is None
         else np.asarray(xhat_values, dtype=np.float64)
     )
     if decoder.n_in != encoder.n_out or decoder.n_out != vals.size:
         raise ParameterError("decoder shape does not match encoder/alphabet")
-    red = mmse_reduction(src, encoder)
     through = encoder.matrix @ decoder.matrix  # p(x̂ | x), shape (n_x, n_k)
     sq = (src.x_values[:, None] - vals[None, :]) ** 2
     d = float((src.p_x[:, None] * through * sq).sum())
@@ -433,7 +425,7 @@ def _grid(src: DiscreteSource, encoder: Channel, levels: int):
     if levels < 1:
         raise ParameterError("levels must be >= 1")
     red = mmse_reduction(src, encoder)
-    vals = np.union1d(red.p_xtilde.support, src.x_values)
+    vals = default_xhat_values(src, red)
     combos = math.comb(levels + vals.size - 1, vals.size - 1) ** encoder.n_out
     if combos > _MAX_DECODER_COMBOS:
         raise SizeGuardError(
@@ -453,8 +445,10 @@ def c_min_solver(
     """Grid search for the decoder minimising H(S | X̂) within an MSE budget.
 
     Decoder rows range over the simplex grid with entries in multiples of
-    1/levels; ties break toward the lexicographically first decoder.
+    1/levels; ties break toward the lexicographically first decoder.  A
+    ``d_budget`` of +inf is no budget; NaN is refused.
     """
+    check_not_nan("d_budget", d_budget)
     if levels < 3:
         raise ParameterError("levels must be >= 3")
     red, vals, rows, row_d, b = _grid(src, encoder, levels)

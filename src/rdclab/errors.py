@@ -1,4 +1,16 @@
-"""Semantic exceptions shared across the package."""
+"""Semantic exceptions and the input contract shared across the package.
+
+The contract, enforced with ``ParameterError`` by the checks below: NaN is
+refused everywhere; rates and distortion budgets are >= 0 and may be +inf (no
+budget); a classification budget c may be +inf (no budget) or -inf (one
+nothing meets); means, variances, covariances, gains and the entries of
+discrete distributions and channels must be finite.  The scalar checks use
+``math``, not numpy: they run in constructors built thousands of times a sweep.
+"""
+
+import math
+
+import numpy as np
 
 
 class RdcError(Exception):
@@ -23,4 +35,29 @@ class SizeGuardError(RdcError):
 
 
 class InfeasibleBudgetError(RdcError):
-    """No decoder satisfies the requested distortion budget."""
+    """No decoder satisfies the requested budget, or no source has the
+    requested parameters."""
+
+
+def check_finite(name: str, value: float) -> None:
+    """Refuse NaN and +-inf."""
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def check_nonneg(name: str, value: float) -> None:
+    """Refuse NaN and negative values; +inf stays legal."""
+    if not value >= 0.0:
+        raise ParameterError(f"{name} must be >= 0, got {value}")
+
+
+def check_not_nan(name: str, value: float) -> None:
+    """Refuse NaN; +-inf keep their meaning."""
+    if math.isnan(value):
+        raise ParameterError(f"{name} must not be NaN")
+
+
+def check_finite_array(name: str, arr: np.ndarray) -> None:
+    """Refuse NaN and infinite entries, which every ``<``/``>`` check lets through."""
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} must be finite")

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateDependenceError, ParameterError
+from .errors import check_finite, check_nonneg, check_not_nan
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 
@@ -41,13 +42,10 @@ class GaussianPairSource:
     allow_degenerate: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("mu_x", "mu_s", "cov_xs"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.var_x > 0.0) or not math.isfinite(self.var_x):
-            raise ParameterError(f"var_x must be positive, got {self.var_x}")
-        if not (self.var_s > 0.0) or not math.isfinite(self.var_s):
-            raise ParameterError(f"var_s must be positive, got {self.var_s}")
+        for name in ("mu_x", "mu_s", "cov_xs", "var_x", "var_s"):
+            check_finite(name, getattr(self, name))
+        if not (self.var_x > 0.0 and self.var_s > 0.0):
+            raise ParameterError(f"variances must be positive: {self.var_x}, {self.var_s}")
         bound = self.var_x * self.var_s
         if self.cov_xs**2 > bound:
             raise ParameterError(
@@ -62,6 +60,11 @@ class GaussianPairSource:
     def rho(self) -> float:
         """Correlation coefficient Cov(X,S) / (sigma_s * sigma_x)."""
         return self.cov_xs / math.sqrt(self.var_x * self.var_s)
+
+    @property
+    def rho_sq(self) -> float:
+        """Squared correlation Cov(X,S)^2 / (var_x * var_s)."""
+        return self.cov_xs**2 / (self.var_x * self.var_s)
 
     @property
     def h_s(self) -> float:
@@ -83,10 +86,9 @@ class GaussianReconstruction:
     cov_xxhat: float
 
     def __post_init__(self) -> None:
-        if self.var_xhat < 0.0 or not math.isfinite(self.var_xhat):
-            raise ParameterError(f"var_xhat must be >= 0, got {self.var_xhat}")
-        if not math.isfinite(self.cov_xxhat):
-            raise ParameterError("cov_xxhat must be finite")
+        for name in ("mu_xhat", "var_xhat", "cov_xxhat"):
+            check_finite(name, getattr(self, name))
+        check_nonneg("var_xhat", self.var_xhat)
 
     def validate_against(self, src: GaussianPairSource) -> None:
         """Check the correlation bound theta2^2 <= var_x * var_xhat."""
@@ -110,12 +112,9 @@ class TradeoffPoint:
     closs: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.rate) or self.rate < 0.0:
-            raise ParameterError(f"rate must be >= 0, got {self.rate}")
-        if math.isnan(self.distortion) or self.distortion < 0.0:
-            raise ParameterError(f"distortion must be >= 0, got {self.distortion}")
-        if math.isnan(self.closs):
-            raise ParameterError("closs must not be NaN")
+        check_nonneg("rate", self.rate)
+        check_nonneg("distortion", self.distortion)
+        check_not_nan("closs", self.closs)
 
 
 def differential_entropy(var: float) -> float:
@@ -145,14 +144,16 @@ def cond_entropy_s_given_xhat(
     """h(S | X̂) = h(S) + 0.5 * ln(1 - theta1^2 theta2^2 / (var_s var_x^2 var_xhat)).
 
     Uses the Markov chain S - X - X̂, under which
-    Cov(S, X̂) = theta1 * theta2 / var_x.
+    Cov(S, X̂) = theta1 * theta2 / var_x.  Scales whose denominator
+    underflows to 0 or overflows to inf are refused, not turned into NaN.
     """
-    h_s = differential_entropy(src.var_s)
+    h_s = src.h_s
     if rec.var_xhat == 0.0 or rec.cov_xxhat == 0.0:
         return h_s
-    arg = 1.0 - (src.cov_xs**2 * rec.cov_xxhat**2) / (
-        src.var_s * src.var_x**2 * rec.var_xhat
-    )
+    den = src.var_s * src.var_x**2 * rec.var_xhat
+    if not 0.0 < den < math.inf:
+        raise ParameterError(f"var_s * var_x^2 * var_xhat = {den} is out of range")
+    arg = 1.0 - (src.cov_xs**2 * rec.cov_xxhat**2) / den
     if arg <= 0.0:
         raise DegenerateDependenceError(
             "label is a deterministic function of the reconstruction"
@@ -175,6 +176,8 @@ def gaussian_w2_squared(mu1: float, var1: float, mu2: float, var2: float) -> flo
     W2^2(N(mu1, var1), N(mu2, var2)) = (mu1 - mu2)^2 + (sigma1 - sigma2)^2,
     the one-dimensional monotone-coupling optimum.
     """
+    for name, value in (("mu1", mu1), ("var1", var1), ("mu2", mu2), ("var2", var2)):
+        check_finite(name, value)
     if var1 < 0.0 or var2 < 0.0:
         raise ParameterError("variances must be >= 0")
     return (mu1 - mu2) ** 2 + (math.sqrt(var1) - math.sqrt(var2)) ** 2

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from . import _kernels
-from .errors import ParameterError
-from .gaussian_model import GaussianPairSource, TradeoffPoint, differential_entropy
+from .errors import ParameterError, check_finite, check_nonneg, check_not_nan
+from .gaussian_model import GaussianPairSource, TradeoffPoint
 
 Status = Literal["feasible", "infeasible", "unbounded"]
 Binding = Literal["distortion", "classification", "both", "none"]
@@ -72,14 +72,13 @@ class ConstraintSet:
         if len(self.pairs) == 0:
             raise ParameterError("constraint set must be non-empty")
         for d, c in self.pairs:
-            if d < 0.0 or math.isnan(d) or math.isnan(c):
-                raise ParameterError(f"invalid constraint pair ({d}, {c})")
+            check_nonneg("distortion budget", d)
+            check_not_nan("classification budget c", c)
 
 
-def _check_closs(c: float) -> None:
-    """Refuse a NaN classification budget; +inf and -inf keep their meaning."""
-    if math.isnan(c):
-        raise ParameterError("classification budget c must not be NaN")
+def t_max(rate: float) -> float:
+    """Largest squared correlation a rate budget allows: 1 - e^{-2R}."""
+    return -math.expm1(-2.0 * rate)
 
 
 def c_min(src: GaussianPairSource) -> float:
@@ -88,20 +87,15 @@ def c_min(src: GaussianPairSource) -> float:
     Returns -inf for a (flagged) perfectly correlated pair; equals h(S) when
     the label is independent of the source.
     """
-    rho_sq = src.cov_xs**2 / (src.var_x * src.var_s)
-    h_s = differential_entropy(src.var_s)
-    if rho_sq >= 1.0:
-        return -math.inf
-    return 0.5 * math.log1p(-rho_sq) + h_s
+    return src.h_s - max_useful_rate(src)
 
 
 def max_useful_rate(src: GaussianPairSource) -> float:
     """I(X; S) = -0.5*ln(1 - rho^2): the rate beyond which no further
     classification information about S exists in any reconstruction."""
-    rho_sq = src.cov_xs**2 / (src.var_x * src.var_s)
-    if rho_sq >= 1.0:
+    if src.rho_sq >= 1.0:
         return math.inf
-    return -0.5 * math.log1p(-rho_sq)
+    return -0.5 * math.log1p(-src.rho_sq)
 
 
 def c_threshold(src: GaussianPairSource, rate: float) -> float:
@@ -110,27 +104,32 @@ def c_threshold(src: GaussianPairSource, rate: float) -> float:
     0.5*ln(1 - rho^2*(1 - e^{-2R})) + h(S); equals h(S) at R = 0 and falls
     monotonically to c_min as R grows.
     """
-    if rate < 0.0 or math.isnan(rate):
-        raise ParameterError(f"rate must be >= 0, got {rate}")
-    rho_sq = src.cov_xs**2 / (src.var_x * src.var_s)
-    h_s = differential_entropy(src.var_s)
-    t_max = -math.expm1(-2.0 * rate)
-    arg = 1.0 - rho_sq * t_max
+    check_nonneg("rate", rate)
+    arg = 1.0 - src.rho_sq * t_max(rate)
     if arg <= 0.0:
         return -math.inf
-    return 0.5 * math.log(arg) + h_s
+    return 0.5 * math.log(arg) + src.h_s
 
 
 def _t_required_by_classification(src: GaussianPairSource, c: float) -> float:
     """Minimum squared correlation t needed to push h(S|X̂) down to c."""
-    h_s = differential_entropy(src.var_s)
-    rho_sq = src.cov_xs**2 / (src.var_x * src.var_s)
-    shortfall = -math.expm1(2.0 * (c - h_s))  # 1 - e^{2(C - h(S))}
+    shortfall = -math.expm1(2.0 * (c - src.h_s))  # 1 - e^{2(C - h(S))}
     if shortfall <= 0.0:
         return 0.0
-    if rho_sq == 0.0:
+    if src.rho_sq == 0.0:
         return math.inf
-    return shortfall / rho_sq
+    return shortfall / src.rho_sq
+
+
+def _printed_case2(src: GaussianPairSource, c: float) -> float:
+    """The printed case-2 distortion at loss c, transcribed verbatim.  It divides
+    by theta1^2: an uncorrelated label or an overflow raises ParameterError."""
+    if src.rho_sq == 0.0:
+        raise ParameterError("printed case 2 divides by Cov(X, S)^2 = 0")
+    scale = src.var_s * src.var_x**2 / src.cov_xs**2
+    value = src.var_x - scale * (-math.expm1(2.0 * (c - src.h_s)))
+    check_finite("printed case-2 distortion", value)
+    return value
 
 
 def rdc_rate(src: GaussianPairSource, d: float, c: float) -> FeasibilityVerdict:
@@ -139,9 +138,8 @@ def rdc_rate(src: GaussianPairSource, d: float, c: float) -> FeasibilityVerdict:
     Infeasible below c_min; unbounded (infinite rate) at d = 0 or when the
     classification budget demands perfect correlation.
     """
-    if d < 0.0 or math.isnan(d):
-        raise ParameterError(f"distortion budget must be >= 0, got {d}")
-    _check_closs(c)
+    check_nonneg("distortion budget", d)
+    check_not_nan("classification budget c", c)
     if c < c_min(src):
         return FeasibilityVerdict("infeasible", branch="infeasible")
     t_d = max(0.0, 1.0 - d / src.var_x) if d > 0.0 else 1.0
@@ -175,24 +173,22 @@ def dcr_distortion_printed(
     The case-2 band is exactly where the independent oracle reports
     infeasibility; see the module docstring.
     """
-    if rate < 0.0 or math.isnan(rate):
-        raise ParameterError(f"rate must be >= 0, got {rate}")
-    _check_closs(c)
+    check_nonneg("rate", rate)
+    check_not_nan("classification budget c", c)
     cmin = c_min(src)
     if c < cmin:
         return FeasibilityVerdict("infeasible", branch="infeasible")
-    h_s = differential_entropy(src.var_s)
     thr = c_threshold(src, rate)
     if c > thr:
         return FeasibilityVerdict(
             "feasible", src.var_x * math.exp(-2.0 * rate), "distortion", branch="case1"
         )
     if cmin <= c <= thr:
-        scale = src.var_s * src.var_x**2 / src.cov_xs**2
-        value = src.var_x - scale * (-math.expm1(2.0 * (c - h_s)))
-        return FeasibilityVerdict("feasible", value, "classification", branch="case2")
+        return FeasibilityVerdict(
+            "feasible", _printed_case2(src, c), "classification", branch="case2"
+        )
     # Printed case 3; dead code for continuous sources, kept for fidelity.
-    if c > h_s and rate > differential_entropy(src.var_x):
+    if c > src.h_s and rate > src.h_x:
         return FeasibilityVerdict("feasible", 0.0, "none", branch="case3")
     return FeasibilityVerdict("infeasible", branch="infeasible")
 
@@ -206,17 +202,16 @@ def dcr_distortion_oracle(
     the full rate budget: D = var_x * (1 - t_max), sigma_xhat = sigma_x *
     sqrt(t_max), matched means.
     """
-    if rate < 0.0 or math.isnan(rate):
-        raise ParameterError(f"rate must be >= 0, got {rate}")
-    _check_closs(c)
+    check_nonneg("rate", rate)
+    check_not_nan("classification budget c", c)
     t_min = _t_required_by_classification(src, c)
-    t_max = -math.expm1(-2.0 * rate)
-    if t_min > t_max:
+    t_cap = t_max(rate)
+    if t_min > t_cap:
         return FeasibilityVerdict("infeasible", branch="infeasible")
     # var_x*(1 - t_max), written so the case-1 agreement with the printed
     # formula is bitwise.
     value = src.var_x * math.exp(-2.0 * rate)
-    binding: Binding = "both" if t_min == t_max else "distortion"
+    binding: Binding = "both" if t_min == t_cap else "distortion"
     return FeasibilityVerdict("feasible", value, binding, branch="case1")
 
 
@@ -237,13 +232,10 @@ def grid_oracle_rate(
     """
     if n_sigma < 16 or n_theta < 16:
         raise ParameterError("grid resolution must be at least 16 per axis")
-    if d < 0.0 or math.isnan(d):
-        raise ParameterError(f"distortion budget must be >= 0, got {d}")
-    _check_closs(c)
-    rho_sq = src.cov_xs**2 / (src.var_x * src.var_s)
-    h_s = differential_entropy(src.var_s)
+    check_nonneg("distortion budget", d)
+    check_not_nan("classification budget c", c)
     found, rate, mse, ce = _kernels.grid_rate_scan(
-        src.var_x, h_s, rho_sq, d, c, n_sigma, n_theta
+        src.var_x, src.h_s, src.rho_sq, d, c, n_sigma, n_theta
     )
     if not found:
         return FeasibilityVerdict("infeasible", branch="infeasible")
@@ -274,19 +266,16 @@ def boundary_curve(
     """
     if n_points < 2:
         raise ParameterError("n_points must be >= 2")
-    if rate < 0.0 or math.isnan(rate):
-        raise ParameterError(f"rate must be >= 0, got {rate}")
+    check_nonneg("rate", rate)
     if rate == 0.0:
         return []  # no boundary below the trivial point at zero rate
     lo = c_min(src)
     hi = c_threshold(src, rate)
     if not (hi > lo) or math.isinf(lo):
         return []
-    h_s = differential_entropy(src.var_s)
-    scale = src.var_s * src.var_x**2 / src.cov_xs**2
     points = []
     for i in range(n_points):
         ci = lo + (hi - lo) * i / n_points
-        di = src.var_x - scale * (-math.expm1(2.0 * (ci - h_s)))
+        di = _printed_case2(src, ci)
         points.append(TradeoffPoint(rate=rate, distortion=max(di, 0.0), closs=ci))
     return points

@@ -24,31 +24,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, check_finite, check_nonneg
 from .gaussian_model import (
     GaussianPairSource,
     GaussianReconstruction,
     cond_entropy_s_given_xhat,
     mse_of_reconstruction,
 )
-from .gaussian_tradeoff import ConstraintSet, c_min, c_threshold, rdc_rate
+from .gaussian_tradeoff import ConstraintSet, c_min, c_threshold, rdc_rate, t_max
 
 _BISECTION_TOL = 1e-9  # bracket width at which rate_penalty stops bisecting
 
 
 @dataclass(frozen=True)
 class GaussianRepresentation:
-    """Unit-variance Gaussian encoder output at a cached rate budget."""
+    """Gaussian encoder output Z at a cached rate budget.  var_z = 1 by
+    construction (Z ~ N(0, 1)), so it is not a field."""
 
     cov_xz: float
     rate: float
-    var_z: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.var_z != 1.0:
-            raise ParameterError("representations are normalised to var_z = 1")
-        if self.rate < 0.0 or math.isnan(self.rate):
-            raise ParameterError(f"rate must be >= 0, got {self.rate}")
+        check_finite("cov_xz", self.cov_xz)
+        check_nonneg("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,13 @@ class LinearDecoder:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gamma):
-            raise ParameterError("gamma must be finite")
+        check_finite("gamma", self.gamma)
         if self.sign not in (-1, 1):
             raise ParameterError("sign must be +1 or -1")
 
 
 def _check_rep(src: GaussianPairSource, rep: GaussianRepresentation) -> None:
-    expect = src.var_x * (-math.expm1(-2.0 * rep.rate))
+    expect = src.var_x * t_max(rep.rate)
     if abs(rep.cov_xz**2 - expect) > 1e-9 * max(src.var_x, 1.0):
         raise ParameterError(
             "representation violates the rate-correlation identity "
@@ -76,9 +73,8 @@ def _check_rep(src: GaussianPairSource, rep: GaussianRepresentation) -> None:
 
 def encoder_for_rate(src: GaussianPairSource, rate: float) -> GaussianRepresentation:
     """Representation Z ~ N(0,1) with I(X; Z) exactly equal to the budget."""
-    if rate < 0.0 or math.isnan(rate):
-        raise ParameterError(f"rate must be >= 0, got {rate}")
-    cov_xz = math.sqrt(src.var_x * (-math.expm1(-2.0 * rate)))
+    check_nonneg("rate", rate)
+    cov_xz = math.sqrt(src.var_x * t_max(rate))
     return GaussianRepresentation(cov_xz=cov_xz, rate=rate)
 
 
@@ -89,7 +85,7 @@ def linear_decoder_stats(
     _check_rep(src, rep)
     return GaussianReconstruction(
         mu_xhat=src.mu_x,
-        var_xhat=dec.gamma**2 * rep.var_z,
+        var_xhat=dec.gamma**2,
         cov_xxhat=dec.sign * dec.gamma * rep.cov_xz,
     )
 
@@ -97,7 +93,8 @@ def linear_decoder_stats(
 def gamma_for_classification(
     src: GaussianPairSource, rep: GaussianRepresentation, c: float
 ) -> float:
-    """The published gain sigma_s*sigma_x^2*sqrt(1-e^{2(C-h(S))})/(theta1*sigma_z).
+    """The published gain sigma_s*sigma_x^2*sqrt(1-e^{2(C-h(S))})/(theta1*sigma_z),
+    with sigma_z = 1.
 
     Pure transcription; the loss this gain actually achieves must be measured
     with ``achieved_point`` (it equals c_threshold(rep.rate), not C, except
@@ -109,12 +106,8 @@ def gamma_for_classification(
     if not (lo <= c <= hi):
         raise ParameterError(f"classification budget {c} outside [{lo}, {hi}]")
     shortfall = -math.expm1(2.0 * (c - src.h_s))  # 1 - e^{2(C - h(S))}
-    sigma_z = math.sqrt(rep.var_z)
     return (
-        math.sqrt(src.var_s)
-        * src.var_x
-        * math.sqrt(max(shortfall, 0.0))
-        / (src.cov_xs * sigma_z)
+        math.sqrt(src.var_s) * src.var_x * math.sqrt(max(shortfall, 0.0)) / src.cov_xs
     )
 
 
@@ -146,8 +139,8 @@ def region_sweep(
 
 
 def mmse_gain(rep: GaussianRepresentation) -> float:
-    """gamma* = Cov(X, Z) / var_z, the unique distortion-minimising gain."""
-    return rep.cov_xz / rep.var_z
+    """gamma* = Cov(X, Z) (var_z = 1), the unique distortion-minimising gain."""
+    return rep.cov_xz
 
 
 def rate_penalty(src: GaussianPairSource, theta: ConstraintSet) -> float:

@@ -61,7 +61,7 @@ def sample_joint(
     if n < 1:
         raise ParameterError("n must be >= 1")
     if isinstance(target, GaussianRepresentation):
-        mu_w, var_w, cov_xw = 0.0, target.var_z, target.cov_xz
+        mu_w, var_w, cov_xw = 0.0, 1.0, target.cov_xz  # Z ~ N(0, 1)
     elif isinstance(target, GaussianReconstruction):
         mu_w, var_w, cov_xw = target.mu_xhat, target.var_xhat, target.cov_xxhat
     else:

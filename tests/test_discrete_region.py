@@ -199,7 +199,7 @@ class TestOuterBound:
     def test_mmse_decoder_equality(self):
         src, enc = flip_source(), flip_encoder()
         red = mmse_reduction(src, enc)
-        vals = default_xhat_values(src, enc)
+        vals = default_xhat_values(src, red)
         dec = deterministic_decoder(red.estimator, enc.n_out, vals)
         rep = outer_bound_check(src, enc, dec)
         assert rep.holds
@@ -221,7 +221,7 @@ class TestOuterBound:
         for _ in range(100):
             src = random_source(rng, 3, 3)
             enc = random_channel(rng, 3, 3)
-            vals = default_xhat_values(src, enc)
+            vals = default_xhat_values(src, mmse_reduction(src, enc))
             dec = random_channel(rng, 3, vals.size)
             rep = outer_bound_check(src, enc, dec)
             assert rep.holds
@@ -234,7 +234,7 @@ class TestOuterBound:
             src = random_source(rng, 4, 2)
             enc = random_channel(rng, 4, 3)
             red = mmse_reduction(src, enc)
-            vals = default_xhat_values(src, enc)
+            vals = default_xhat_values(src, red)
             dec = random_channel(rng, 3, vals.size)
             rep = outer_bound_check(src, enc, dec)
             # E[(X̃-X̂)^2] by direct enumeration over (z, x̂)
@@ -439,7 +439,7 @@ class TestDataProcessing:
         for _ in range(50):
             src = random_source(rng, 3, 3)
             enc = random_channel(rng, 3, 3)
-            vals = default_xhat_values(src, enc)
+            vals = default_xhat_values(src, mmse_reduction(src, enc))
             dec = random_channel(rng, 3, vals.size)
             rep = outer_bound_check(src, enc, dec)
             h_sz = cond_entropy_discrete(joint_zs(src, enc).T)
