@@ -14,6 +14,15 @@ Kernels:
 The three decoder scans walk the grid through ``_decoders``, the one place
 that knows the decoder order.  Loop forms of the grid and decoder scans
 live in ``tests/test_kernels.py`` as reference oracles.
+
+The monotone-coupling cost has two forms, one per caller.  ``outer_scan``
+prices a whole chunk of decoders with ``_w2_rows``, which runs the scalar
+loop ``_w2_quantile_py`` on every row at once, one breakpoint per step, so
+each row's cost is bitwise the scalar loop's.  ``w2_quantile_pairs`` prices
+one pair and keeps the scalar loop: on random 32-atom pairs a one-row
+``_w2_rows`` call took 2.3 ms against 0.07 ms for the loop (2-vCPU x86_64,
+numpy 2.4), because the row kernel pays numpy's per-call overhead on each of
+its up to nx + ny - 1 steps.
 """
 
 from __future__ import annotations
@@ -55,6 +64,52 @@ def _w2_quantile_py(xv, xp, yv, yp):
                 break
             mj = yp[j]
     return cost
+
+
+def _w2_rows(xv, xp, yv, yp_rows):
+    """``_w2_quantile_py(xv, xp, yv, p)`` for every row ``p`` of ``yp_rows``.
+
+    Runs the scalar loop on all rows at once, one breakpoint per step.  Each
+    row keeps its own ``i``, ``j``, ``mi``, ``mj`` and ``cost`` and does its
+    float operations in the loop's order, so every result is bitwise equal
+    to the scalar loop's.  A row leaves the live set at the step where the
+    scalar loop breaks; every step moves ``i`` or ``j`` on, so all rows are
+    done within ``nx + ny - 1`` steps.  Only a NaN mass keeps a row live past
+    them; it returns its cost so far rather than loop for ever.
+    """
+    nx = xv.shape[0]
+    ny = yv.shape[0]
+    out = np.empty(yp_rows.shape[0])
+    live = np.arange(yp_rows.shape[0])
+    i = np.zeros(live.size, dtype=np.intp)
+    j = np.zeros(live.size, dtype=np.intp)
+    mi = np.full(live.size, xp[0])
+    mj = yp_rows[:, 0].copy()
+    cost = np.zeros(live.size)
+    for _ in range(nx + ny - 1):
+        m = np.where(mi < mj, mi, mj)
+        diff = xv[i] - yv[j]
+        cost += m * diff * diff
+        mi -= m
+        mj -= m
+        step_i = mi <= 0.0
+        i += step_i
+        done = i >= nx
+        step_j = (mj <= 0.0) & ~done
+        j += step_j
+        done |= j >= ny
+        if done.any():
+            out[live[done]] = cost[done]
+            keep = ~done
+            live, i, j, mi, mj, cost, step_i, step_j = (
+                a[keep] for a in (live, i, j, mi, mj, cost, step_i, step_j)
+            )
+            if live.size == 0:
+                break
+        mi = np.where(step_i, xp[i], mi)
+        mj = np.where(step_j, yp_rows[live, j], mj)
+    out[live] = cost
+    return out
 
 
 def w2_quantile_pairs(xv, xp, yv, yp):
@@ -178,7 +233,7 @@ def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual):
         p_xhat = np.zeros((d.size, rows.shape[1]))
         for z in range(n_z):
             p_xhat += p_z[z] * rows[idx[:, z]]
-        w2 = np.array([_w2_quantile_py(vals, p_xtilde, vals, p) for p in p_xhat])
+        w2 = _w2_rows(vals, p_xtilde, vals, p_xhat)
         slack = d - residual - w2
         min_slack = min(min_slack, float(slack.min()))
         violations += int(np.count_nonzero(slack < -OUTER_TOL))

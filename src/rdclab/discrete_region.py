@@ -89,7 +89,9 @@ class DiscreteSource:
 
     ``pmf[i, j] = P(X = x_values[i], S = j)``.  ``s_values`` optionally gives
     numeric label values (defaults to 0..s_size-1) so Cov(X, S) is defined.
-    Every entry of ``x_values``, ``pmf`` and ``s_values`` must be finite.
+    Every entry of ``x_values``, ``pmf`` and ``s_values`` must be finite, and
+    so must the squared span ``(x_max - x_min)^2``, which bounds every squared
+    distance the distortions and transport costs add up.
     """
 
     x_values: np.ndarray
@@ -112,6 +114,9 @@ class DiscreteSource:
             )
         if np.any(pmf < 0.0) or abs(float(pmf.sum()) - 1.0) > _STOCHASTIC_TOL:
             raise ParameterError("pmf must be nonnegative and sum to 1")
+        span = float(xv[-1]) - float(xv[0])  # xv is not empty: pmf sums to 1
+        if not math.isfinite(span * span):
+            raise ParameterError(f"x_values span {span} overflows when squared")
         sv = self.s_values
         sv = np.arange(self.s_size, dtype=np.float64) if sv is None else np.asarray(
             sv, dtype=np.float64

@@ -29,7 +29,8 @@ LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 class GaussianPairSource:
     """Jointly Gaussian (X, S) pair: means, variances and Cov(X, S).
 
-    Means and Cov(X, S) must be finite and variances positive and finite.
+    Means and Cov(X, S) must be finite and variances positive and finite;
+    a Cov(X, S) whose square overflows is refused.
     `allow_degenerate` must be set explicitly to permit |Cov(X,S)| equal to
     sigma_x * sigma_s (a perfectly correlated pair).
     """
@@ -47,11 +48,13 @@ class GaussianPairSource:
         if not (self.var_x > 0.0 and self.var_s > 0.0):
             raise ParameterError(f"variances must be positive: {self.var_x}, {self.var_s}")
         bound = self.var_x * self.var_s
-        if self.cov_xs**2 > bound:
-            raise ParameterError(
-                f"cov_xs^2 = {self.cov_xs**2} exceeds var_x*var_s = {bound}"
-            )
-        if self.cov_xs**2 == bound and not self.allow_degenerate:
+        try:
+            cov_sq = self.cov_xs**2
+        except OverflowError:
+            raise ParameterError(f"cov_xs = {self.cov_xs} is out of range") from None
+        if cov_sq > bound:
+            raise ParameterError(f"cov_xs^2 = {cov_sq} exceeds var_x*var_s = {bound}")
+        if cov_sq == bound and not self.allow_degenerate:
             raise ParameterError(
                 "perfectly correlated (X, S) pair; pass allow_degenerate=True"
             )
@@ -128,11 +131,15 @@ def mutual_info_x_xhat(src: GaussianPairSource, rec: GaussianReconstruction) -> 
     """I(X; X̂) = -0.5 * ln(1 - theta2^2 / (var_x * var_xhat)).
 
     Returns 0 for an uninformative reconstruction (theta2 = 0 or a constant
-    decoder) and +inf for a perfectly correlated one.
+    decoder) and +inf for a perfectly correlated one.  Scales whose
+    denominator underflows to 0 or overflows to inf are refused.
     """
     if rec.var_xhat == 0.0 or rec.cov_xxhat == 0.0:
         return 0.0
-    t = rec.cov_xxhat**2 / (src.var_x * rec.var_xhat)
+    den = src.var_x * rec.var_xhat
+    if not 0.0 < den < math.inf:
+        raise ParameterError(f"var_x * var_xhat = {den} is out of range")
+    t = rec.cov_xxhat**2 / den
     if t >= 1.0:
         return math.inf
     return -0.5 * math.log1p(-t)

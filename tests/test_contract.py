@@ -1,17 +1,19 @@
 """The input contract: NaN never reaches a result, and the CLI exits 0, 2 or 3.
 
 The scalar checks live in ``rdclab.errors``; these tests pin the inputs that
-once slipped past hand-written checks, and drive the Gaussian CLI and the
-rate oracles with generated inputs.
+once slipped past hand-written checks, and drive the Gaussian CLI,
+``discrete-region`` and the rate oracles with generated inputs.
 """
 
+import copy
+import json
 import math
 import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdclab import (
@@ -28,9 +30,12 @@ from rdclab import (
     sandwich_check,
 )
 from rdclab.cli import bundled_source_path, load_discrete_source, main
+from rdclab.discrete_region import DiscreteSource
 from rdclab.errors import check_finite, check_nonneg, check_not_nan
+from rdclab.gaussian_model import mutual_info_x_xhat
 
 FLIP = load_discrete_source(bundled_source_path())
+SOURCE_FILES = (bundled_source_path(), Path(__file__).parent / "golden" / "x2_s2_z3_source.json")
 
 
 class TestChecks:
@@ -63,6 +68,28 @@ class TestChecks:
 )
 def test_nan_is_refused(call):
     with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: GaussianPairSource(0, 1.0, 0, 1.0, 1e200), id="cov_xs_squared"),
+        pytest.param(
+            lambda: mutual_info_x_xhat(
+                GaussianPairSource(0, 1e-200, 0, 1.0, 0.0),
+                GaussianReconstruction(0, 1e-200, 5e-201),
+            ),
+            id="mutual_info_denominator",
+        ),
+        pytest.param(
+            lambda: DiscreteSource([-1e200, 1e200], 2, [[0.5, 0.0], [0.0, 0.5]]),
+            id="discrete_span_squared",
+        ),
+    ],
+)
+def test_out_of_range_scale_is_refused(call):
+    with pytest.raises(ParameterError, match="out of range|overflows"):
         call()
 
 
@@ -156,3 +183,48 @@ def test_grid_oracle_never_beats_rdc_rate(case):
     grid = grid_oracle_rate(src, d, c, 64, 64)
     relaxed = rdc_rate(src, d * (1.0 + 1e-12), c + 1e-12 * max(1.0, abs(c)))
     assert _rate(grid) >= _rate(relaxed)
+
+
+# Source-file entries: finite, NaN, infinite, huge and tiny.
+ENTRY = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-200]),
+)
+BASE_SOURCES = tuple(json.loads(path.read_text()) for path in SOURCE_FILES)
+
+
+@st.composite
+def discrete_sources(draw):
+    """A committed source with up to three entries replaced or x rescaled."""
+    payload = copy.deepcopy(draw(st.sampled_from(BASE_SOURCES)))
+    for _ in range(draw(st.sampled_from([0, 1, 0, 2, 3]))):  # intact sources run to exit 0
+        key = draw(st.sampled_from(["x_values", "pmf", "encoder"]))
+        target = payload[key]
+        if key != "x_values":
+            target = target[draw(st.integers(0, len(target) - 1))]
+        target[draw(st.integers(0, len(target) - 1))] = draw(ENTRY)
+    if draw(st.booleans()):  # every x atom at once, so the source stays sorted
+        scale = draw(st.sampled_from([1e200, 1e150, 1e-200]))
+        payload["x_values"] = [x * scale for x in payload["x_values"]]
+    return payload
+
+
+HUGE_SPAN = {**BASE_SOURCES[0], "x_values": [-1e200, 1e200]}  # squared distances overflow
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(discrete_sources(), st.sampled_from([3, 1, 3, 2]))  # levels < 3 exit 3
+@example(HUGE_SPAN, 3)
+def test_discrete_region_exit_codes_and_no_nan(payload, levels):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "source.json"
+        source.write_text(json.dumps(payload))
+        argv = ["discrete-region", "--source", str(source), f"--levels={levels}"]
+        code = main([*argv, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        written = sorted(Path(tmp).glob("out*"))
+        if code == 0:
+            for path in written:
+                assert re.search(r"\bnan\b", path.read_text()) is None
+        else:
+            assert written == []

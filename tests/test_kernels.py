@@ -2,16 +2,23 @@
 
 Each oracle evaluates one grid point or one decoder at a time with explicit
 Python loops and walks the decoders with its own odometer, so it shares no
-code with ``rdclab._kernels`` beyond the quantile-coupling cost.
+code with ``rdclab._kernels`` beyond the scalar quantile-coupling loop,
+``_w2_quantile_py``, which the row kernel ``_w2_rows`` must match bit for bit.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdclab import _kernels
+from rdclab.cli import load_discrete_source
 from rdclab.discrete_region import Channel, DiscreteSource, _grid
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _grid_rate_scan_py(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
@@ -194,6 +201,44 @@ def flip_arrays(levels=6):
     return (rows, row_d, b), vals
 
 
+def outer_scan_args(src, enc, levels):
+    """The arguments ``outer_bound_sweep`` passes to ``outer_scan``."""
+    red, vals, rows, row_d, _ = _grid(src, enc, levels)
+    p_xt = np.zeros(vals.size)
+    p_xt[np.searchsorted(vals, red.p_xtilde.support)] = red.p_xtilde.probs
+    return rows, enc.n_out, row_d, src.p_x @ enc.matrix, vals, p_xt, red.residual
+
+
+def _support(n):
+    values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    return st.lists(values, min_size=n, max_size=n, unique=True).map(sorted)
+
+
+def _masses(n):
+    """n masses summing to about 1, zero-mass atoms included."""
+    entries = st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n
+    )
+
+    def normalise(w):
+        w = np.array(w)
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        return w / w.sum()
+
+    return entries.map(normalise)
+
+
+@st.composite
+def w2_row_cases(draw):
+    """One source marginal and rows of target masses on one shared support."""
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    xv = np.array(draw(_support(nx)))
+    yv = xv if nx == ny and draw(st.booleans()) else np.array(draw(_support(ny)))
+    rows = draw(st.lists(_masses(ny), min_size=1, max_size=8))
+    return xv, draw(_masses(nx)), yv, np.array(rows)
+
+
 class TestAgainstLoopOracles:
     def test_grid_scan_bitwise(self):
         args = (1.0, 1.4189385332046727, 0.49, 0.5, 2.0, 400, 400)
@@ -231,8 +276,30 @@ class TestAgainstLoopOracles:
         p_xt = np.array([0.0, 0.5, 0.5, 0.0])
         got = _kernels.outer_scan(rows, 2, row_d, p_z, vals, p_xt, 0.36)
         ref = _outer_scan_py(rows, 2, row_d, p_z, vals, p_xt, 0.36, 1e-12)
-        assert got[0] == ref[0]
-        assert got[1] == pytest.approx(ref[1], abs=1e-13)
+        assert got == ref
+
+    def test_outer_scan_three_symbol_encoder(self):
+        # |Z| = 3 at levels 3: 42,875 decoders over six chunks
+        src, enc = load_discrete_source(GOLDEN / "x2_s2_z3_source.json")
+        args = outer_scan_args(src, enc, 3)
+        assert args[0].shape[0] ** 3 > 5 * _kernels._CHUNK
+        assert _kernels.outer_scan(*args) == _outer_scan_py(*args, _kernels.OUTER_TOL)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(w2_row_cases())
+    @example(  # zero-mass atoms on both sides; the rows finish at steps 3, 4 and 5
+        (
+            np.array([0.0, 1.0, 2.0]),
+            np.array([0.5, 0.0, 0.5]),
+            np.array([0.0, 1.0, 2.0]),
+            np.array([[1.0, 0.0, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]]),
+        )
+    )
+    def test_w2_rows_bitwise(self, case):
+        xv, xp, yv, rows = case
+        got = _kernels._w2_rows(xv, xp, yv, rows)
+        want = np.array([_kernels._w2_quantile_py(xv, xp, yv, p) for p in rows])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_w2_quantile(self):
         rng = np.random.default_rng(3)
