@@ -5,15 +5,16 @@ Kernels:
                           parameter grid (the KKT-free oracle).
   * dc_scan             - (distortion, classification-loss) of every decoder
                           on a simplex grid.
-  * cmin_scan           - argmin of classification loss subject to a
-                          distortion budget over the same grid.
+  * budget_argmin       - first decoder minimising classification loss within
+                          a distortion budget, from ``dc_scan``'s arrays.
+  * cmin_scan           - ``budget_argmin`` over a fresh ``dc_scan`` pass.
   * outer_scan          - achievability outer-bound check over the grid.
   * w2_quantile_pairs   - monotone-coupling squared transport cost between
                           two discrete distributions on the line.
 
-The three decoder scans walk the grid through ``_decoders``, the one place
-that knows the decoder order.  Loop forms of the grid and decoder scans
-live in ``tests/test_kernels.py`` as reference oracles.
+The decoder scans walk the grid through ``_decoders``, the one place that
+knows the decoder order.  Loop forms of the grid and decoder scans live in
+``tests/test_kernels.py`` as reference oracles.
 
 The monotone-coupling cost has two forms, one per caller.  ``outer_scan``
 prices a whole chunk of decoders with ``_w2_rows``, which runs the scalar
@@ -30,7 +31,12 @@ from __future__ import annotations
 import numpy as np
 
 _CHUNK = 8192
-OUTER_TOL = 1e-12  # slack below -OUTER_TOL counts as an outer-bound violation
+OUTER_TOL = 1e-12  # relative to the squared span of the atoms
+
+
+def outer_tol(atoms):
+    """Slack below -outer_tol(atoms) counts as an outer-bound violation."""
+    return OUTER_TOL * np.ptp(atoms) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +184,11 @@ def _decoders(row_d):
         yield idx, d
 
 
-def _cond_entropy(rows, idx, joint_zs):
+def _cond_entropy(tables, idx):
     """H(S|X̂) of each decoder in a chunk; 0*log(0) is 0."""
-    joint = np.zeros((idx.shape[0], rows.shape[1], joint_zs.shape[1]))
-    for z in range(idx.shape[1]):
-        joint += rows[idx[:, z]][:, :, None] * joint_zs[z][None, None, :]
+    joint = tables[0, idx[:, 0]]
+    for z in range(1, idx.shape[1]):
+        joint += tables[z, idx[:, z]]
     pk = joint.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         term = joint * (np.log(pk)[:, :, None] - np.log(joint))
@@ -190,8 +196,8 @@ def _cond_entropy(rows, idx, joint_zs):
     return term.sum(axis=(1, 2))
 
 
-def dc_scan(rows, n_z, row_d, joint_zs):
-    """Distortion and H(S|X̂) of every decoder, in odometer order."""
+def _dc_scan(rows, n_z, row_d, joint_zs):
+    tables = rows[None, :, :, None] * joint_zs[:, None, None, :]  # [z, row]: p(x̂, s)
     total = rows.shape[0] ** n_z
     out_d = np.empty(total)
     out_c = np.empty(total)
@@ -199,34 +205,38 @@ def dc_scan(rows, n_z, row_d, joint_zs):
     for idx, d in _decoders(row_d):
         end = pos + d.size
         out_d[pos:end] = d
-        out_c[pos:end] = _cond_entropy(rows, idx, joint_zs)
+        out_c[pos:end] = _cond_entropy(tables, idx)
         pos = end
     return out_d, out_c
 
 
-def cmin_scan(rows, n_z, row_d, joint_zs, d_budget):
-    """First decoder (odometer order) minimising H(S|X̂) with d <= d_budget.
+def dc_scan(rows, n_z, row_d, joint_zs):
+    """Distortion and H(S|X̂) of every decoder, in odometer order."""
+    return _dc_scan(rows, n_z, row_d, joint_zs)
 
-    Returns (row indices of the decoder, its H(S|X̂)), or (None, inf) when no
-    decoder meets the budget.
-    """
-    best_c = np.inf
-    best_idx = None
-    for idx, d in _decoders(row_d):
-        c = _cond_entropy(rows, idx, joint_zs)
-        c[d > d_budget] = np.inf
-        k = int(np.argmin(c))
-        if c[k] < best_c:
-            best_c = float(c[k])
-            best_idx = idx[k]
-    return best_idx, best_c
+
+def budget_argmin(d, c, d_budget, n_rows, n_z):
+    """First decoder (odometer order) minimising c with d <= d_budget: (row
+    indices of the decoder, its c), or (None, inf) if none meets the budget."""
+    masked = np.where(d > d_budget, np.inf, c)
+    k = int(np.argmin(masked))
+    if not masked[k] < np.inf:
+        return None, np.inf
+    return np.array(np.unravel_index(k, (n_rows,) * n_z)), float(masked[k])
+
+
+def cmin_scan(rows, n_z, row_d, joint_zs, d_budget):
+    """``budget_argmin`` over the (d, c) of every decoder on the grid."""
+    d, c = _dc_scan(rows, n_z, row_d, joint_zs)
+    return budget_argmin(d, c, d_budget, rows.shape[0], n_z)
 
 
 def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual):
-    """Count outer-bound violations D < residual + W2^2(p_xt, p_xhat) - OUTER_TOL.
+    """Count outer-bound violations D < residual + W2^2(p_xt, p_xhat) - tol.
 
-    Returns (violations, min_slack) over every decoder on the grid.
+    Returns (violations, min_slack) over the grid, with tol = outer_tol(vals).
     """
+    tol = outer_tol(vals)
     violations = 0
     min_slack = np.inf
     for idx, d in _decoders(row_d):
@@ -236,5 +246,5 @@ def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual):
         w2 = _w2_rows(vals, p_xtilde, vals, p_xhat)
         slack = d - residual - w2
         min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.count_nonzero(slack < -OUTER_TOL))
+        violations += int(np.count_nonzero(slack < -tol))
     return violations, min_slack

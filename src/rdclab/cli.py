@@ -265,9 +265,8 @@ def cmd_discrete_region(args) -> int:
     levels = args.levels
     d_budget = args.d_budget if args.d_budget is not None else src.var_x()
 
-    frontier = discrete_region.region_approx(src, encoder, levels)
+    frontier, sol = discrete_region.region_and_c_min(src, encoder, d_budget, levels)
     ext_a = discrete_region.extreme_point_a(src, encoder)
-    sol = discrete_region.c_min_solver(src, encoder, d_budget, levels)
     if not sol.feasible:
         raise InfeasibleBudgetError(
             f"no decoder on the grid meets the distortion budget {d_budget}"

@@ -19,7 +19,8 @@ real support remains only on ``outer_bound_check``.  The three solvers take
 their decoder grid from ``_grid``, which enforces ``levels >= 1`` and the
 2,000,000-decoder cap for all of them.  Two guards stay per solver:
 ``region_approx`` limits alphabets to 6 symbols and levels to 12, and
-``c_min_solver`` needs ``levels >= 3``.
+``c_min_solver`` needs ``levels >= 3``.  ``region_and_c_min``, which the CLI
+runs, takes the results of both from one (D, C) pass over the grid.
 
 scipy is imported inside the two functions that use it, ``w2_squared_lp``
 (``linprog``) and ``discretize_gaussian`` (``norm``), on their first call.
@@ -45,6 +46,7 @@ _MAX_LP_SUPPORT = 64
 _MAX_ALPHABET = 6
 _MAX_LEVELS = 12
 _MAX_DECODER_COMBOS = 2_000_000
+_PARETO_BUCKETS = 1024  # D buckets of the frontier's sort-free prefilter
 
 
 @dataclass(frozen=True)
@@ -381,7 +383,7 @@ def outer_bound_check(
         red.p_xtilde.support, red.p_xtilde.probs, vals, p_xhat
     )
     rhs = red.residual + w2
-    holds = bool(d >= rhs - _kernels.OUTER_TOL)
+    holds = bool(d >= rhs - _kernels.outer_tol(np.concatenate((src.x_values, vals))))
     return OuterBoundReport(
         d=d, c=c, rhs=rhs, holds=holds, residual=red.residual, w2_term=w2
     )
@@ -444,20 +446,14 @@ def _grid(src: DiscreteSource, encoder: Channel, levels: int):
     return red, vals, rows, row_d, joint_zs(src, encoder)
 
 
-def c_min_solver(
-    src: DiscreteSource, encoder: Channel, d_budget: float, levels: int
-) -> CMinSolution:
-    """Grid search for the decoder minimising H(S | X̂) within an MSE budget.
-
-    Decoder rows range over the simplex grid with entries in multiples of
-    1/levels; ties break toward the lexicographically first decoder.  A
-    ``d_budget`` of +inf is no budget; NaN is refused.
-    """
+def _check_c_min_args(d_budget: float, levels: int) -> None:
     check_not_nan("d_budget", d_budget)
     if levels < 3:
         raise ParameterError("levels must be >= 3")
-    red, vals, rows, row_d, b = _grid(src, encoder, levels)
-    idx, best_c = _kernels.cmin_scan(rows, encoder.n_out, row_d, b, float(d_budget))
+
+
+def _c_min_solution(src, encoder, grid, idx, best_c) -> CMinSolution:
+    red, vals, rows = grid[:3]
     if idx is None:
         return CMinSolution(feasible=False)
     decoder = Channel(rows[idx])
@@ -469,6 +465,22 @@ def c_min_solver(
         decoder=decoder,
         p_xhat=p_xhat,
     )
+
+
+def c_min_solver(
+    src: DiscreteSource, encoder: Channel, d_budget: float, levels: int
+) -> CMinSolution:
+    """Grid search for the decoder minimising H(S | X̂) within an MSE budget.
+
+    Decoder rows range over the simplex grid with entries in multiples of
+    1/levels; ties break toward the lexicographically first decoder.  A
+    ``d_budget`` of +inf is no budget; NaN is refused.
+    """
+    _check_c_min_args(d_budget, levels)
+    grid = _grid(src, encoder, levels)
+    rows, row_d, b = grid[2:]
+    idx, best_c = _kernels.cmin_scan(rows, encoder.n_out, row_d, b, float(d_budget))
+    return _c_min_solution(src, encoder, grid, idx, best_c)
 
 
 def extreme_point_b(
@@ -484,10 +496,7 @@ def extreme_point_b(
     return sol.d_b, sol.c_min
 
 
-def region_approx(
-    src: DiscreteSource, encoder: Channel, levels: int
-) -> list[tuple[float, float]]:
-    """Pareto-minimal (D, C) frontier over the enumerated decoder grid."""
+def _check_region_size(src: DiscreteSource, encoder: Channel, levels: int) -> None:
     _check_encoder(src, encoder)
     if (
         src.x_values.size > _MAX_ALPHABET
@@ -499,14 +508,48 @@ def region_approx(
             f"alphabets are limited to {_MAX_ALPHABET} symbols and levels to "
             f"{_MAX_LEVELS} for exact enumeration"
         )
-    _, _, rows, row_d, b = _grid(src, encoder, levels)
-    d_all, c_all = _kernels.dc_scan(rows, encoder.n_out, row_d, b)
+
+
+def _frontier(d_all: np.ndarray, c_all: np.ndarray) -> list[tuple[float, float]]:
+    """Pareto-minimal (D, C) points, by D: C below every C sorted before it."""
+    lo, hi = d_all.min(), d_all.max()
+    if hi > lo:
+        # Sort-free prefilter.  The bucket never decreases as D grows, so a
+        # point whose C is not below every C of the lower buckets is dominated.
+        bucket = ((d_all - lo) / (hi - lo) * _PARETO_BUCKETS).astype(np.intp)
+        least = np.full(_PARETO_BUCKETS + 1, math.inf)
+        np.minimum.at(least, bucket, c_all)
+        below = np.minimum.accumulate(np.concatenate(([math.inf], least[:-1])))
+        keep = c_all < below[bucket]
+        d_all, c_all = d_all[keep], c_all[keep]
     order = np.lexsort((c_all, d_all))  # by D, ties by C
     d_all, c_all = d_all[order], c_all[order]
-    # Pareto filter: keep a point when its C is below every C sorted before it.
     best_before = np.minimum.accumulate(np.concatenate(([math.inf], c_all[:-1])))
     keep = c_all < best_before
     return [(float(d), float(c)) for d, c in zip(d_all[keep], c_all[keep])]
+
+
+def region_approx(
+    src: DiscreteSource, encoder: Channel, levels: int
+) -> list[tuple[float, float]]:
+    """Pareto-minimal (D, C) frontier over the enumerated decoder grid."""
+    _check_region_size(src, encoder, levels)
+    _, _, rows, row_d, b = _grid(src, encoder, levels)
+    return _frontier(*_kernels.dc_scan(rows, encoder.n_out, row_d, b))
+
+
+def region_and_c_min(
+    src: DiscreteSource, encoder: Channel, d_budget: float, levels: int
+) -> tuple[list[tuple[float, float]], CMinSolution]:
+    """``region_approx`` and ``c_min_solver``, refusing as those two calls
+    would in that order, from one pass over the grid."""
+    _check_region_size(src, encoder, levels)
+    grid = _grid(src, encoder, levels)
+    _check_c_min_args(d_budget, levels)
+    rows, row_d, b = grid[2:]
+    d, c = _kernels.dc_scan(rows, encoder.n_out, row_d, b)
+    idx, best_c = _kernels.budget_argmin(d, c, float(d_budget), len(rows), encoder.n_out)
+    return _frontier(d, c), _c_min_solution(src, encoder, grid, idx, best_c)
 
 
 def outer_bound_sweep(

@@ -180,6 +180,35 @@ class TestDiscreteRegion:
         assert run(["discrete-region", "--source", str(bundled_source_path()),
                     "--levels", "13", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "levels,code,line",
+        [
+            # the frontier's guards and the grid refuse before c_min's own check
+            ("0", 3, "error: levels must be >= 1"),
+            ("2", 3, "error: levels must be >= 3"),
+            ("13", 2, "infeasible: alphabets are limited to 6 symbols and levels "
+                      "to 12 for exact enumeration"),
+        ],
+    )
+    def test_levels_refusal_order(self, levels, code, line, tmp_path, capsys):
+        assert run(["discrete-region", "--source", str(bundled_source_path()),
+                    "--levels", levels, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_outer_bound_tolerance_follows_scale(self, tmp_path):
+        # The bound is a theorem: at D ~ 1e300 its rounding is not a violation.
+        payload = json.loads(bundled_source_path().read_text())
+        payload["x_values"] = [-1e150, 1e150]
+        srcfile = tmp_path / "wide.json"
+        srcfile.write_text(json.dumps(payload))
+        out = tmp_path / "wide"
+        assert run(["discrete-region", "--source", str(srcfile), "--levels", "3",
+                    "--out", str(out)]) == 0
+        verdict = json.loads((tmp_path / "wide.json").read_text())
+        assert verdict["outer_bound"]["decoders_checked"] == 400
+        assert verdict["outer_bound"]["violations"] == 0
+
     def test_loader_round_trip(self):
         src, enc = load_discrete_source(bundled_source_path())
         np.testing.assert_allclose(src.x_values, [-1.0, 1.0])

@@ -5,6 +5,7 @@ flip-0.1 encoder, for which every quantity is known in closed form
 (residual 0.36, conditional entropy H_b(0.1) = 0.325083 nats).
 """
 
+import itertools
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from rdclab import (
 from rdclab.discrete_region import (
     default_xhat_values,
     deterministic_decoder,
+    _grid,
     discretize_gaussian,
     joint_zs,
     outer_bound_sweep,
@@ -206,6 +208,18 @@ class TestOuterBound:
         assert rep.d == pytest.approx(red.residual, abs=1e-12)
         assert rep.rhs == pytest.approx(rep.d, abs=1e-12)
         assert rep.w2_term == pytest.approx(0.0, abs=1e-15)
+
+    def test_tolerance_follows_scale(self):
+        # At D ~ 1e300 the bound's rounding reaches ~3e284; an absolute
+        # tolerance of 1e-12 flagged 12 of these 400 decoders.
+        src = DiscreteSource(
+            np.array([-1e150, 1e150]), 2, np.array([[0.5, 0.0], [0.0, 0.5]])
+        )
+        enc = flip_encoder()
+        rows = _grid(src, enc, 3)[2]
+        for pair in itertools.product(range(len(rows)), repeat=2):
+            assert outer_bound_check(src, enc, Channel(rows[list(pair)])).holds
+        assert outer_bound_sweep(src, enc, 3)[0] == 0
 
     def test_collapse_to_zero_decoder(self):
         src, enc = flip_source(), flip_encoder()

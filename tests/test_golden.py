@@ -26,6 +26,10 @@ RUNS = {
     "flip01_budget0365": [
         "--source", "flip01", "--levels", "8", "--d-budget", "0.365",
     ],
+    # both MMSE atoms merge at 0, so the frontier trades D for C: 10 points
+    "merged_mmse_levels8": [
+        "--source", str(GOLDEN / "merged_mmse_source.json"), "--levels", "8",
+    ],
 }
 
 

@@ -4,9 +4,13 @@ Each oracle evaluates one grid point or one decoder at a time with explicit
 Python loops and walks the decoders with its own odometer, so it shares no
 code with ``rdclab._kernels`` beyond the scalar quantile-coupling loop,
 ``_w2_quantile_py``, which the row kernel ``_w2_rows`` must match bit for bit.
+Two more references keep the forms the one-pass region run replaced: the
+per-chunk product form of the entropy kernel and the frontier filter that
+sorts every point.
 """
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,15 @@ from hypothesis import strategies as st
 
 from rdclab import _kernels
 from rdclab.cli import load_discrete_source
-from rdclab.discrete_region import Channel, DiscreteSource, _grid
+from rdclab.discrete_region import (
+    Channel,
+    DiscreteSource,
+    _frontier,
+    _grid,
+    c_min_solver,
+    region_and_c_min,
+    region_approx,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,110 +68,107 @@ def _grid_rate_scan_py(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta
     return found, best_rate, best_mse, best_ce
 
 
-def _dc_scan_py(rows, n_z, row_d, joint_zs, out_d, out_c):
-    """Distortion and H(S|X̂) for every decoder combination (odometer order)."""
-    n_rows, m = rows.shape
-    n_s = joint_zs.shape[1]
-    idx = np.zeros(n_z, dtype=np.int64)
-    total = out_d.shape[0]
-    joint = np.empty((m, n_s))
-    for flat in range(total):
-        d = 0.0
-        for z in range(n_z):
-            d += row_d[z, idx[z]]
+def _entropy_py(rows, joint_zs, idx):
+    """H(S|X̂) of the decoder with row indices ``idx``, one joint cell at a time.
+
+    The sums over s and over all cells use numpy's ``sum``, as the kernel
+    does: numpy adds eight or more terms pairwise, so a running Python sum
+    would differ from the kernel in the last bits.
+    """
+    m, n_s = rows.shape[1], joint_zs.shape[1]
+    joint = np.zeros((m, n_s))
+    for z, r in enumerate(idx):
         for k in range(m):
-            for s in range(n_s):
-                joint[k, s] = 0.0
-        for z in range(n_z):
-            r = idx[z]
-            for k in range(m):
-                w = rows[r, k]
-                if w > 0.0:
-                    for s in range(n_s):
-                        joint[k, s] += w * joint_zs[z, s]
-        c = 0.0
-        for k in range(m):
-            pk = 0.0
-            for s in range(n_s):
-                pk += joint[k, s]
-            if pk > 0.0:
-                lpk = np.log(pk)
+            w = rows[r, k]
+            if w > 0.0:
                 for s in range(n_s):
-                    v = joint[k, s]
-                    if v > 0.0:
-                        c += v * (lpk - np.log(v))
-        out_d[flat] = d
-        out_c[flat] = c
+                    joint[k, s] += w * joint_zs[z, s]
+    term = np.zeros((m, n_s))
+    for k in range(m):
+        pk = joint[k].sum()
+        if pk > 0.0:
+            lpk = np.log(pk)
+            for s in range(n_s):
+                v = joint[k, s]
+                if v > 0.0:
+                    term[k, s] = v * (lpk - np.log(v))
+    return term.sum()
+
+
+def _odometer(n_rows, n_z):
+    """Every decoder's row indices, last symbol fastest."""
+    idx = np.zeros(n_z, dtype=np.int64)
+    for _ in range(n_rows**n_z):
+        yield idx
         for z in range(n_z - 1, -1, -1):
             idx[z] += 1
             if idx[z] < n_rows:
                 break
             idx[z] = 0
-    return out_d, out_c
+
+
+def _decoder_d_py(row_d, idx):
+    d = 0.0
+    for z, r in enumerate(idx):
+        d += row_d[z, r]
+    return d
+
+
+def _dc_scan_py(rows, n_z, row_d, joint_zs):
+    """Distortion and H(S|X̂) for every decoder combination (odometer order)."""
+    out_d, out_c = [], []
+    for idx in _odometer(rows.shape[0], n_z):
+        out_d.append(_decoder_d_py(row_d, idx))
+        out_c.append(_entropy_py(rows, joint_zs, idx))
+    return np.array(out_d), np.array(out_c)
 
 
 def _cmin_scan_py(rows, n_z, row_d, joint_zs, d_budget):
     """First (lexicographic) decoder minimising H(S|X̂) under the MSE budget."""
-    n_rows, m = rows.shape
-    n_s = joint_zs.shape[1]
-    idx = np.zeros(n_z, dtype=np.int64)
-    total = 1
-    for _ in range(n_z):
-        total *= n_rows
-    joint = np.empty((m, n_s))
     best_c = np.inf
     best_flat = -1
-    for flat in range(total):
-        d = 0.0
-        for z in range(n_z):
-            d += row_d[z, idx[z]]
-        if d <= d_budget:
-            for k in range(m):
-                for s in range(n_s):
-                    joint[k, s] = 0.0
-            for z in range(n_z):
-                r = idx[z]
-                for k in range(m):
-                    w = rows[r, k]
-                    if w > 0.0:
-                        for s in range(n_s):
-                            joint[k, s] += w * joint_zs[z, s]
-            c = 0.0
-            for k in range(m):
-                pk = 0.0
-                for s in range(n_s):
-                    pk += joint[k, s]
-                if pk > 0.0:
-                    lpk = np.log(pk)
-                    for s in range(n_s):
-                        v = joint[k, s]
-                        if v > 0.0:
-                            c += v * (lpk - np.log(v))
+    for flat, idx in enumerate(_odometer(rows.shape[0], n_z)):
+        if _decoder_d_py(row_d, idx) <= d_budget:
+            c = _entropy_py(rows, joint_zs, idx)
             if c < best_c:
                 best_c = c
                 best_flat = flat
-        for z in range(n_z - 1, -1, -1):
-            idx[z] += 1
-            if idx[z] < n_rows:
-                break
-            idx[z] = 0
     return best_flat, best_c
+
+
+def _dc_scan_products(rows, n_z, row_d, joint_zs):
+    """``dc_scan`` with each chunk's joint built from row-by-p(z, s) products,
+    the form the table gather replaced."""
+    out_d, out_c = [], []
+    for idx, d in _kernels._decoders(row_d):
+        joint = np.zeros((idx.shape[0], rows.shape[1], joint_zs.shape[1]))
+        for z in range(n_z):
+            joint += rows[idx[:, z]][:, :, None] * joint_zs[z][None, None, :]
+        pk = joint.sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = joint * (np.log(pk)[:, :, None] - np.log(joint))
+        term[joint <= 0.0] = 0.0
+        out_d.append(d)
+        out_c.append(term.sum(axis=(1, 2)))
+    return np.concatenate(out_d), np.concatenate(out_c)
+
+
+def _frontier_lexsort(d_all, c_all):
+    """The Pareto filter with no prefilter: sort every point by (D, C)."""
+    order = np.lexsort((c_all, d_all))
+    d_all, c_all = d_all[order], c_all[order]
+    best_before = np.minimum.accumulate(np.concatenate(([math.inf], c_all[:-1])))
+    keep = c_all < best_before
+    return [(float(d), float(c)) for d, c in zip(d_all[keep], c_all[keep])]
 
 
 def _outer_scan_py(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol):
     """Count outer-bound violations D < residual + W2^2(p_xt, p_xhat) - tol."""
-    n_rows, m = rows.shape
-    idx = np.zeros(n_z, dtype=np.int64)
-    total = 1
-    for _ in range(n_z):
-        total *= n_rows
+    m = rows.shape[1]
     p_xhat = np.empty(m)
     violations = 0
     min_slack = np.inf
-    for flat in range(total):
-        d = 0.0
-        for z in range(n_z):
-            d += row_d[z, idx[z]]
+    for idx in _odometer(rows.shape[0], n_z):
         for k in range(m):
             p_xhat[k] = 0.0
         for z in range(n_z):
@@ -168,16 +177,11 @@ def _outer_scan_py(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol):
             for k in range(m):
                 p_xhat[k] += w * rows[r, k]
         w2 = _kernels._w2_quantile_py(vals, p_xtilde, vals, p_xhat)
-        slack = d - residual - w2
+        slack = _decoder_d_py(row_d, idx) - residual - w2
         if slack < min_slack:
             min_slack = slack
         if slack < -tol:
             violations += 1
-        for z in range(n_z - 1, -1, -1):
-            idx[z] += 1
-            if idx[z] < n_rows:
-                break
-            idx[z] = 0
     return violations, min_slack
 
 
@@ -192,12 +196,14 @@ def _w2_quantile_integral(xv, xp, yv, yp):
     return float(np.sum((xv[i] - yv[j]) ** 2 * np.diff(cuts)))
 
 
+FLIP = (
+    DiscreteSource(np.array([-1.0, 1.0]), 2, np.array([[0.5, 0.0], [0.0, 0.5]])),
+    Channel(np.array([[0.9, 0.1], [0.1, 0.9]])),
+)
+
+
 def flip_arrays(levels=6):
-    src = DiscreteSource(
-        np.array([-1.0, 1.0]), 2, np.array([[0.5, 0.0], [0.0, 0.5]])
-    )
-    enc = Channel(np.array([[0.9, 0.1], [0.1, 0.9]]))
-    _, vals, rows, row_d, b = _grid(src, enc, levels)
+    _, vals, rows, row_d, b = _grid(*FLIP, levels)
     return (rows, row_d, b), vals
 
 
@@ -255,19 +261,16 @@ class TestAgainstLoopOracles:
 
     def test_dc_scan(self):
         (rows, row_d, b), _ = flip_arrays()
-        total = rows.shape[0] ** 2
-        d1 = np.empty(total)
-        c1 = np.empty(total)
-        _dc_scan_py(rows, 2, row_d, b, d1, c1)
+        d1, c1 = _dc_scan_py(rows, 2, row_d, b)
         d2, c2 = _kernels.dc_scan(rows, 2, row_d, b)
-        np.testing.assert_allclose(d1, d2, atol=1e-13)
-        np.testing.assert_allclose(c1, c2, atol=1e-13)
+        np.testing.assert_array_equal(d1.view(np.int64), d2.view(np.int64))
+        np.testing.assert_array_equal(c1.view(np.int64), c2.view(np.int64))
 
     def test_cmin_scan(self):
         (rows, row_d, b), _ = flip_arrays()
         f1, v1 = _cmin_scan_py(rows, 2, row_d, b, 0.4)
         idx, v2 = _kernels.cmin_scan(rows, 2, row_d, b, 0.4)
-        assert v1 == pytest.approx(v2, abs=1e-13)
+        assert v1 == v2
         assert tuple(idx) == np.unravel_index(f1, (rows.shape[0],) * 2)
 
     def test_outer_scan(self):
@@ -275,15 +278,17 @@ class TestAgainstLoopOracles:
         p_z = b.sum(axis=1)
         p_xt = np.array([0.0, 0.5, 0.5, 0.0])
         got = _kernels.outer_scan(rows, 2, row_d, p_z, vals, p_xt, 0.36)
-        ref = _outer_scan_py(rows, 2, row_d, p_z, vals, p_xt, 0.36, 1e-12)
-        assert got == ref
+        tol = _kernels.outer_tol(vals)
+        assert tol == 4e-12  # the alphabet spans [-1, 1]
+        assert got == _outer_scan_py(rows, 2, row_d, p_z, vals, p_xt, 0.36, tol)
 
     def test_outer_scan_three_symbol_encoder(self):
         # |Z| = 3 at levels 3: 42,875 decoders over six chunks
         src, enc = load_discrete_source(GOLDEN / "x2_s2_z3_source.json")
         args = outer_scan_args(src, enc, 3)
         assert args[0].shape[0] ** 3 > 5 * _kernels._CHUNK
-        assert _kernels.outer_scan(*args) == _outer_scan_py(*args, _kernels.OUTER_TOL)
+        tol = _kernels.outer_tol(args[4])
+        assert _kernels.outer_scan(*args) == _outer_scan_py(*args, tol)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(w2_row_cases())
@@ -312,6 +317,90 @@ class TestAgainstLoopOracles:
             assert _kernels.w2_quantile_pairs(xv, xp, yv, yp) == pytest.approx(
                 _w2_quantile_integral(xv, xp, yv, yp), abs=1e-14
             )
+
+
+def _normalised(weights):
+    w = np.array(weights, dtype=np.float64)
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return w / w.sum()
+
+
+@st.composite
+def small_sources(draw):
+    """|X| <= 3 sources on integer atoms with small integer masses, so many
+    decoders tie in D, plus a grid size and where the budget falls between the
+    least and the largest D: below it (infeasible), at either end, or past it.
+    """
+    n_x, n_s, n_z = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    xs = draw(st.lists(st.integers(-3, 3), min_size=n_x, max_size=n_x, unique=True))
+    cells = draw(st.lists(st.integers(0, 4), min_size=n_x * n_s, max_size=n_x * n_s))
+    enc = [draw(st.lists(st.integers(0, 4), min_size=n_z, max_size=n_z)) for _ in xs]
+    src = DiscreteSource(
+        np.array(sorted(xs), dtype=np.float64), n_s,
+        _normalised(cells).reshape(n_x, n_s),
+    )
+    where = draw(st.one_of(st.sampled_from([-1.0, 0.0, 1.0, math.inf]), st.floats(0.0, 1.0)))
+    return src, Channel(np.array([_normalised(row) for row in enc])), draw(st.integers(1, 4)), where
+
+
+class TestOnePass:
+    """The frontier and c_min of one (D, C) pass, bit for bit against the
+    loop oracles and the forms the one pass replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(small_sources())
+    @example((*FLIP, 4, 0.1))  # symmetric: decoders tie in D and in C
+    @example((*FLIP, 3, -1.0))  # no decoder meets the budget
+    def test_matches_oracles(self, case):
+        src, enc, levels, where = case
+        _, _, rows, row_d, b = _grid(src, enc, levels)
+        n_z = enc.n_out
+        d, c = _kernels.dc_scan(rows, n_z, row_d, b)
+        span = d.max() - d.min()
+        budget = d.min() + where * span if 0.0 <= where <= 1.0 else where
+        for ref in (_dc_scan_py(rows, n_z, row_d, b), _dc_scan_products(rows, n_z, row_d, b)):
+            np.testing.assert_array_equal(d.view(np.int64), ref[0].view(np.int64))
+            np.testing.assert_array_equal(c.view(np.int64), ref[1].view(np.int64))
+
+        frontier = _frontier_lexsort(d, c)
+        assert region_approx(src, enc, levels) == frontier
+
+        flat, c_ref = _cmin_scan_py(rows, n_z, row_d, b, budget)
+        for idx, c_min in (
+            _kernels.cmin_scan(rows, n_z, row_d, b, budget),
+            _kernels.budget_argmin(d, c, budget, rows.shape[0], n_z),
+        ):
+            assert c_min == c_ref
+            if flat < 0:
+                assert idx is None
+            else:
+                assert tuple(idx) == np.unravel_index(flat, (rows.shape[0],) * n_z)
+
+        if levels >= 3:
+            got_frontier, got = region_and_c_min(src, enc, budget, levels)
+            want = c_min_solver(src, enc, budget, levels)
+            assert got_frontier == frontier
+            assert got.feasible == want.feasible == (flat >= 0)
+            if got.feasible:
+                assert (got.c_min, got.d_b) == (want.c_min, want.d_b)
+                np.testing.assert_array_equal(got.decoder.matrix, want.decoder.matrix)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2**-52]), st.floats(0.0, 2.0)),
+                st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @example([(0.5, 0.3), (0.5, 0.1), (0.5, 0.1), (0.5, 0.7)])  # every D equal
+    def test_prefilter_keeps_the_sorted_frontier(self, points):
+        d, c = (np.array(v) for v in zip(*points))
+        assert _frontier(d, c) == _frontier_lexsort(d, c)
 
 
 class TestDecoderOrder:
