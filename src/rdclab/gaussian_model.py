@@ -171,10 +171,10 @@ def cond_entropy_s_given_xhat(
 def mse_of_reconstruction(
     src: GaussianPairSource, rec: GaussianReconstruction
 ) -> float:
-    """E[(X - X̂)^2] = (mu_x - mu_xhat)^2 + var_x + var_xhat - 2*theta2."""
-    return (
-        (src.mu_x - rec.mu_xhat) ** 2 + src.var_x + rec.var_xhat - 2.0 * rec.cov_xxhat
-    )
+    """E[(X - X̂)^2] = (mu_x - mu_xhat)^2 + var_x + var_xhat - 2*theta2, clamped
+    at 0: as X̂ -> X the sum cancels, and its rounding (ulps of var_x) can be < 0."""
+    d = (src.mu_x - rec.mu_xhat) ** 2 + src.var_x + rec.var_xhat - 2.0 * rec.cov_xxhat
+    return max(d, 0.0)
 
 
 def gaussian_w2_squared(mu1: float, var1: float, mu2: float, var2: float) -> float:

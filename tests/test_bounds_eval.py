@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdclab import (
     GaussianPairSource,
     ParameterError,
     Theorem5Instance,
+    encoder_for_rate,
     gap_lower_bound,
+    mmse_gain,
     ratio_lower_bound,
+    region_sweep,
     sandwich_check,
     theorem5_gaussian_harness,
     upper_left_bounds,
@@ -65,14 +70,23 @@ class TestRatioLowerBound:
 
 class TestSandwich:
     def test_holds(self):
-        assert sandwich_check(0.3, 0.4, 0.25)
+        assert sandwich_check(Theorem5Instance(1.0, 1.0, d1=0.25, d3=0.4, d_b=0.3))
 
     def test_violated(self):
-        assert not sandwich_check(0.5, 0.4, 1.0)
+        assert not sandwich_check(Theorem5Instance(1.0, 1.0, d1=1.0, d3=0.4, d_b=0.5))
 
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
-            sandwich_check(-0.1, 0.4, 0.25)
+            sandwich_check(Theorem5Instance(1.0, 1.0, d1=0.25, d3=0.4, d_b=-0.1))
+
+    def test_missing_d_b_rejected(self):
+        with pytest.raises(ParameterError):
+            sandwich_check(Theorem5Instance(1.0, 1.0, d1=0.25, d3=0.4))
+
+    def test_tolerance_follows_var_x(self):
+        # 1e-12*var_x: an excess of 1e-9 is rounding at var_x = 1e4, not at 1.
+        assert sandwich_check(Theorem5Instance(1e4, 1.0, d1=0.25, d3=0.4, d_b=0.4 + 1e-9))
+        assert not sandwich_check(Theorem5Instance(1.0, 1.0, d1=0.25, d3=0.4, d_b=0.4 + 1e-9))
 
 
 class TestUpperLeftBounds:
@@ -175,3 +189,60 @@ class TestLimitingRegimes:
     def test_upper_left_zero_exactly_at_corner(self):
         gap_ub, _ = upper_left_bounds(Theorem5Instance(1.0, 1.0, 0.0, 0.0))
         assert gap_ub == 0.0
+
+
+def _sweep_d_b(src, rep):
+    """Extreme point B by brute force: the least D among 62 swept gains whose
+    loss lies in the sweep's least-loss band."""
+    gammas = np.union1d(np.linspace(0.0, 3.0 * math.sqrt(src.var_x), 61), [mmse_gain(rep)])
+    sweep = region_sweep(src, rep, gammas)
+    min_c = min(c for _, c in sweep)
+    # All nonzero gains share the minimum loss up to last-bit noise; collect
+    # the band rather than demanding exact float equality.
+    band = 1e-9 * max(1.0, abs(min_c))
+    return float(min(d for d, c in sweep if c <= min_c + band))
+
+
+def _source(sigma_x, sigma_s, rho):
+    return GaussianPairSource(0.0, sigma_x**2, 0.0, sigma_s**2, rho * sigma_x * sigma_s)
+
+
+SIGMAS = st.floats(0.01, 100.0)
+RHOS = st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True)
+
+
+class TestClosedFormExtremeB:
+    """The harness's D_b, the MSE at gamma*, against the gain sweep it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(SIGMAS, SIGMAS, RHOS, st.floats(0.01, 2.5, exclude_min=True, exclude_max=True))
+    def test_equals_sweep_at_harness_rates(self, sigma_x, sigma_s, rho, rate):
+        src = _source(sigma_x, sigma_s, rho)
+        d_b = theorem5_gaussian_harness(src, rate=rate)[0].instance.d_b
+        assert d_b == _sweep_d_b(src, encoder_for_rate(src, rate))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(SIGMAS, SIGMAS, RHOS, st.floats(0.0, 60.0))
+    def test_within_rounding_of_sweep_at_any_rate(self, sigma_x, sigma_s, rho, rate):
+        src = _source(sigma_x, sigma_s, rho)
+        d_b = theorem5_gaussian_harness(src, rate=rate)[0].instance.d_b
+        sweep = _sweep_d_b(src, encoder_for_rate(src, rate))
+        assert sweep <= d_b <= sweep + 1e-15 * src.var_x
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        st.floats(0.1, 10.0),
+        st.floats(0.1, 10.0),
+        RHOS,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-2, 1e2]),
+    )
+    def test_scaling_x_scales_d_and_keeps_verdicts(self, sigma_x, sigma_s, rho, seed, a):
+        base = theorem5_gaussian_harness(_source(sigma_x, sigma_s, rho), seed=seed, n=10)
+        scaled = theorem5_gaussian_harness(_source(a * sigma_x, sigma_s, rho), seed=seed, n=10)
+        for r0, r1 in zip(base, scaled):
+            for name in ("d1", "d3", "d_b"):
+                want = a * a * getattr(r0.instance, name)
+                assert getattr(r1.instance, name) == pytest.approx(want, rel=1e-12, abs=0)
+            verdicts = [(r.sandwich_holds, r.gap_holds, r.ratio_holds) for r in (r0, r1)]
+            assert verdicts[0] == verdicts[1]

@@ -237,6 +237,25 @@ class TestBounds:
         payload = json.loads(out.read_text())
         assert payload["instances"][0]["degenerate"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sigma-x", "0.0588", "--rate", "31.03"],
+            ["--sigma-x", "10.1632", "--rate", "48.28"],
+            ["--rate", "25.502689910045692", "--sigma-x", "0.08656131475495728",
+             "--sigma-s", "96.0681310956346", "--rho", "0.2567604741847276"],
+            ["--sigma-x", "100", "--instances", "200"],
+        ],
+    )
+    def test_high_rate_and_large_scale_hold(self, argv, tmp_path):
+        # D_b rounds to ulps of var_x: at high rate it once fell below 0 (exit
+        # 3), and at sigma_x = 100 it failed an absolute sandwich tolerance.
+        out = tmp_path / "b.json"
+        assert run(["bounds", *argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert all(inst["d_b"] >= 0.0 for inst in payload["instances"])
+        assert payload["all_sandwich"] and payload["all_gap"] and payload["all_ratio"]
+
     def test_rate_and_instances_conflict(self, tmp_path):
         assert run(["bounds", "--rate", "0.3", "--instances", "5",
                     "--out", str(tmp_path / "b.json")]) == 3

@@ -62,7 +62,10 @@ class TestChecks:
         pytest.param(lambda: extreme_point_b(*FLIP, math.nan, 4), id="extreme_point_b"),
         pytest.param(lambda: GaussianReconstruction(math.nan, 1.0, 0.5), id="mu_xhat"),
         pytest.param(lambda: gaussian_w2_squared(math.nan, 1, 0, 1), id="w2"),
-        pytest.param(lambda: sandwich_check(math.nan, 1, 1), id="sandwich"),
+        pytest.param(
+            lambda: sandwich_check(Theorem5Instance(1.0, 1.0, 1.0, 1.0, math.nan)),
+            id="sandwich",
+        ),
         pytest.param(lambda: Theorem5Instance(1.0, math.nan, 0.5, 0.5), id="theorem5"),
     ],
 )
