@@ -12,18 +12,19 @@ Kernels:
   * w2_quantile_pairs   - monotone-coupling squared transport cost between
                           two discrete distributions on the line.
 
-The decoder scans walk the grid through ``_decoders``, the one place that
-knows the decoder order.  Loop forms of the grid and decoder scans live in
-``tests/test_kernels.py`` as reference oracles.
+The decoder scans walk the grid through ``_blocks``, the one place that
+knows the decoder order; a block broadcasts the last symbol's row over a run
+of prefixes.  ``dc_scan`` gathers H(S|X̂) terms from a table over the values
+an atom's row entries take, far fewer than the decoders.  Loop forms of the
+grid and decoder scans live in ``tests/test_kernels.py`` as reference oracles.
 
 The monotone-coupling cost has two forms, one per caller.  ``outer_scan``
-prices a whole chunk of decoders with ``_w2_rows``, which runs the scalar
-loop ``_w2_quantile_py`` on every row at once, one breakpoint per step, so
+prices a block of decoders with ``_w2_rows``, which runs the scalar loop
+``_w2_quantile_py`` on every row at once for a fixed nx + ny - 1 steps, so
 each row's cost is bitwise the scalar loop's.  ``w2_quantile_pairs`` prices
 one pair and keeps the scalar loop: on random 32-atom pairs a one-row
-``_w2_rows`` call took 2.3 ms against 0.07 ms for the loop (2-vCPU x86_64,
-numpy 2.4), because the row kernel pays numpy's per-call overhead on each of
-its up to nx + ny - 1 steps.
+``_w2_rows`` call took ~1 ms against 0.045 ms for the loop (2-vCPU x86_64,
+numpy 2.4), because the row kernel pays numpy's per-call overhead each step.
 """
 
 from __future__ import annotations
@@ -77,45 +78,39 @@ def _w2_rows(xv, xp, yv, yp_rows):
 
     Runs the scalar loop on all rows at once, one breakpoint per step.  Each
     row keeps its own ``i``, ``j``, ``mi``, ``mj`` and ``cost`` and does its
-    float operations in the loop's order, so every result is bitwise equal
-    to the scalar loop's.  A row leaves the live set at the step where the
-    scalar loop breaks; every step moves ``i`` or ``j`` on, so all rows are
-    done within ``nx + ny - 1`` steps.  Only a NaN mass keeps a row live past
-    them; it returns its cost so far rather than loop for ever.
+    float operations in the loop's order.  Every step moves ``i`` or ``j`` on,
+    so the loop breaks within ``nx + ny - 1`` steps, and every row runs
+    exactly that many.  Zero-mass sentinel atoms end both sides, so a step
+    past the loop's break adds ``(0 * diff) * diff = +0.0`` and every result
+    is bitwise the scalar loop's (for finite, non-negative masses).
     """
-    nx = xv.shape[0]
-    ny = yv.shape[0]
-    out = np.empty(yp_rows.shape[0])
-    live = np.arange(yp_rows.shape[0])
-    i = np.zeros(live.size, dtype=np.intp)
-    j = np.zeros(live.size, dtype=np.intp)
-    mi = np.full(live.size, xp[0])
-    mj = yp_rows[:, 0].copy()
-    cost = np.zeros(live.size)
-    for _ in range(nx + ny - 1):
-        m = np.where(mi < mj, mi, mj)
-        diff = xv[i] - yv[j]
+    nx, ny = xv.shape[0], yv.shape[0]
+    xv, xp = np.append(xv, np.full(ny, xv[-1])), np.append(xp, np.zeros(ny))
+    yv = np.append(yv, np.full(nx, yv[-1]))
+    n = yp_rows.shape[0]
+    yp = np.zeros((ny + nx, n))  # atom j of row r at yp[j * n + r]
+    yp[:ny] = yp_rows.T
+    yp, row = yp.ravel(), np.arange(n)
+    i, j = np.zeros((2, n), dtype=np.intp)
+    mi = np.full(n, xp[0])
+    mj = yp[:n].copy()
+    diff = xv[0] - yv[0]
+    cost = np.zeros(n)
+    for step in range(nx + ny - 1):
+        m = np.minimum(mi, mj)
         cost += m * diff * diff
+        if step == nx + ny - 2:
+            break
         mi -= m
         mj -= m
         step_i = mi <= 0.0
+        step_j = mj <= 0.0
         i += step_i
-        done = i >= nx
-        step_j = (mj <= 0.0) & ~done
         j += step_j
-        done |= j >= ny
-        if done.any():
-            out[live[done]] = cost[done]
-            keep = ~done
-            live, i, j, mi, mj, cost, step_i, step_j = (
-                a[keep] for a in (live, i, j, mi, mj, cost, step_i, step_j)
-            )
-            if live.size == 0:
-                break
-        mi = np.where(step_i, xp[i], mi)
-        mj = np.where(step_j, yp_rows[live, j], mj)
-    out[live] = cost
-    return out
+        np.copyto(mi, xp.take(i), where=step_i)
+        np.copyto(mj, yp.take(j * n + row), where=step_j)
+        diff = xv.take(i) - yv.take(j)
+    return cost
 
 
 def w2_quantile_pairs(xv, xp, yv, yp):
@@ -163,50 +158,67 @@ def grid_rate_scan(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
 # ---------------------------------------------------------------------------
 
 
-def _decoders(row_d):
-    """Yield (idx, d) for every decoder on the grid, in chunks.
+def _blocks(n_rows, n_z):
+    """Yield (pre, last) blocks of the decoders on the grid, in odometer order.
 
-    ``row_d[z, r]`` is the distortion contributed when symbol z decodes with
-    grid row r.  Decoder n has ``idx[n, z]`` = the mixed-radix digits of n in
-    base n_rows, last symbol fastest (odometer order), and distortion
-    ``d[n] = sum_z row_d[z, idx[n, z]]`` accumulated in z order.
+    Decoder n's digits are those of n in base n_rows, last symbol fastest.  A
+    block holds, prefix outer, the decoders whose leading n_z - 1 digits are a
+    row of ``pre`` and whose last digit is in ``last``: at most ``_CHUNK``.
     """
-    n_z, n_rows = row_d.shape
-    total = n_rows**n_z
-    for start in range(0, total, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        idx = np.empty((rest.size, n_z), dtype=np.int64)
-        for z in range(n_z - 1, -1, -1):
-            rest, idx[:, z] = np.divmod(rest, n_rows)
-        d = np.zeros(idx.shape[0])
-        for z in range(n_z):
-            d += row_d[z, idx[:, z]]
-        yield idx, d
+    n_pre = max(_CHUNK // n_rows, 1)
+    n_last = min(n_rows, _CHUNK)
+    total = n_rows ** (n_z - 1)
+    for start in range(0, total, n_pre):
+        rest = np.arange(start, min(start + n_pre, total), dtype=np.int64)
+        pre = np.empty((rest.size, n_z - 1), dtype=np.int64)
+        for z in range(n_z - 2, -1, -1):
+            rest, pre[:, z] = np.divmod(rest, n_rows)
+        for lo in range(0, n_rows, n_last):
+            yield pre, np.arange(lo, min(lo + n_last, n_rows))
 
 
-def _cond_entropy(tables, idx):
-    """H(S|X̂) of each decoder in a chunk; 0*log(0) is 0."""
-    joint = tables[0, idx[:, 0]]
-    for z in range(1, idx.shape[1]):
-        joint += tables[z, idx[:, z]]
-    pk = joint.sum(axis=2)
+def _block_sums(tables):
+    """Yield per block ``sum_z tables[z][:, digit_z]`` of each decoder, added in
+    z order, as a (features, decoders) array."""
+    n_z, k, n_rows = tables.shape
+    for pre, last in _blocks(n_rows, n_z):
+        acc = np.zeros((k, pre.shape[0]), dtype=tables.dtype)
+        for z in range(n_z - 1):
+            acc += tables[z][:, pre[:, z]]
+        yield (acc[:, :, None] + tables[-1][:, None, last]).reshape(k, -1)
+
+
+def _entropy_records(rows, n_z, joint_zs):
+    """The H(S|X̂) terms of one atom as a function of its row entries.
+
+    joint[n, k, s] = sum_z rows[idx_z, k] * p(z, s) in z order depends on atom
+    k only through the tuple (rows[idx_z, k])_z.  Returns ``code[z, k, r]``,
+    the part of the tuple's index due to symbol z decoding with row r, and
+    per tuple the |S| terms of the per-decoder form as one void record.
+    """
+    values, inv = np.unique(rows, return_inverse=True)
+    u = values.size
+    code = inv.reshape(rows.shape).T[None] * u ** np.arange(n_z - 1, -1, -1)[:, None, None]
+    digits = np.indices((u,) * n_z).reshape(n_z, -1)
+    joint = values[digits[0], None] * joint_zs[0]
+    for z in range(1, n_z):
+        joint += values[digits[z], None] * joint_zs[z]
+    pk = joint.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = joint * (np.log(pk)[:, :, None] - np.log(joint))
+        term = joint * (np.log(pk)[:, None] - np.log(joint))
     term[joint <= 0.0] = 0.0
-    return term.sum(axis=(1, 2))
+    return code, term.view(np.dtype((np.void, term.itemsize * term.shape[1]))).ravel()
 
 
 def _dc_scan(rows, n_z, row_d, joint_zs):
-    tables = rows[None, :, :, None] * joint_zs[:, None, None, :]  # [z, row]: p(x̂, s)
-    total = rows.shape[0] ** n_z
-    out_d = np.empty(total)
-    out_c = np.empty(total)
+    code, records = _entropy_records(rows, n_z, joint_zs)
+    out_d, out_c = np.empty((2, rows.shape[0] ** n_z))
     pos = 0
-    for idx, d in _decoders(row_d):
-        end = pos + d.size
-        out_d[pos:end] = d
-        out_c[pos:end] = _cond_entropy(tables, idx)
-        pos = end
+    for (d,), c in zip(_block_sums(row_d[:, None]), _block_sums(code)):
+        term = records.take(c.T).view(np.float64).reshape(d.size, rows.shape[1], -1)
+        out_d[pos : pos + d.size] = d
+        out_c[pos : pos + d.size] = term.sum(axis=(1, 2))
+        pos += d.size
     return out_d, out_c
 
 
@@ -237,14 +249,15 @@ def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual):
     Returns (violations, min_slack) over the grid, with tol = outer_tol(vals).
     """
     tol = outer_tol(vals)
+    # A zero-mass atom of p_xt adds only +0.0 to the coupling cost.
+    xv, xp = vals[p_xtilde > 0.0], p_xtilde[p_xtilde > 0.0]
+    # [z, (distortion, p(z) * row), row]
+    tables = np.concatenate((row_d[:, None], np.swapaxes(p_z[:, None, None] * rows, 1, 2)), axis=1)
     violations = 0
     min_slack = np.inf
-    for idx, d in _decoders(row_d):
-        p_xhat = np.zeros((d.size, rows.shape[1]))
-        for z in range(n_z):
-            p_xhat += p_z[z] * rows[idx[:, z]]
-        w2 = _w2_rows(vals, p_xtilde, vals, p_xhat)
-        slack = d - residual - w2
+    for sums in _block_sums(tables):
+        d, p_xhat = sums[0], sums[1:].T
+        slack = d - residual - _w2_rows(xv, xp, vals, p_xhat)
         min_slack = min(min_slack, float(slack.min()))
         violations += int(np.count_nonzero(slack < -tol))
     return violations, min_slack

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds_eval, discrete_region, gaussian_tradeoff, universal_gaussian
-from .errors import InfeasibleBudgetError, ParameterError, RdcError, SizeGuardError
+from .errors import InfeasibleBudgetError, ParameterError, RdcError, SizeGuardError, check_scale
 from .gaussian_model import GaussianPairSource
 
 CURVE_HEADER = "curve_id,model,rate_nats,c_nats,d,branch"
@@ -154,6 +154,8 @@ def _gaussian_source(args) -> GaussianPairSource:
         raise InfeasibleBudgetError(f"|rho| = {abs(args.rho)} >= 1 is not a correlation")
     if args.sigma_x <= 0.0 or args.sigma_s <= 0.0:
         raise ParameterError("--sigma-x and --sigma-s must be positive")
+    check_scale("--sigma-x squared", args.sigma_x * args.sigma_x)  # before ** can overflow
+    check_scale("--sigma-s squared", args.sigma_s * args.sigma_s)
     return GaussianPairSource(
         mu_x=0.0,
         var_x=args.sigma_x**2,
@@ -438,9 +440,6 @@ def main(argv=None) -> int:
         return 2
     except (ParameterError, RdcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OverflowError as exc:  # a finite flag whose square or exponential overflows
-        print(f"error: a flag value is out of floating-point range ({exc})", file=sys.stderr)
         return 3
 
 

@@ -4,13 +4,19 @@ The contract, enforced with ``ParameterError`` by the checks below: NaN is
 refused everywhere; rates and distortion budgets are >= 0 and may be +inf (no
 budget); a classification budget c may be +inf (no budget) or -inf (one
 nothing meets); means, variances, covariances, gains and the entries of
-discrete distributions and channels must be finite.  The scalar checks use
-``math``, not numpy: they run in constructors built thousands of times a sweep.
+discrete distributions and channels must be finite; the variances of a
+Gaussian source lie in ``VAR_RANGE``.  The scalar checks use ``math``, not
+numpy: they run in constructors built thousands of times a sweep.
 """
 
 import math
 
 import numpy as np
+
+
+# Products of up to four such variances (var_s * var_x**2 * var_xhat in
+# h(S | X̂)) stay normal floats: no Gaussian formula overflows or underflows.
+VAR_RANGE = (1e-60, 1e60)
 
 
 class RdcError(Exception):
@@ -55,6 +61,13 @@ def check_not_nan(name: str, value: float) -> None:
     """Refuse NaN; +-inf keep their meaning."""
     if math.isnan(value):
         raise ParameterError(f"{name} must not be NaN")
+
+
+def check_scale(name: str, value: float) -> None:
+    """Refuse a variance outside ``VAR_RANGE``, NaN included."""
+    lo, hi = VAR_RANGE
+    if not lo <= value <= hi:
+        raise ParameterError(f"{name} = {value} is out of range [{lo:g}, {hi:g}]")
 
 
 def check_finite_array(name: str, arr: np.ndarray) -> None:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateDependenceError, ParameterError
-from .errors import check_finite, check_nonneg, check_not_nan
+from .errors import check_finite, check_nonneg, check_not_nan, check_scale
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 
@@ -29,7 +29,7 @@ LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 class GaussianPairSource:
     """Jointly Gaussian (X, S) pair: means, variances and Cov(X, S).
 
-    Means and Cov(X, S) must be finite and variances positive and finite;
+    Means and Cov(X, S) must be finite and variances in ``VAR_RANGE``;
     a Cov(X, S) whose square overflows is refused.
     `allow_degenerate` must be set explicitly to permit |Cov(X,S)| equal to
     sigma_x * sigma_s (a perfectly correlated pair).
@@ -45,8 +45,8 @@ class GaussianPairSource:
     def __post_init__(self) -> None:
         for name in ("mu_x", "mu_s", "cov_xs", "var_x", "var_s"):
             check_finite(name, getattr(self, name))
-        if not (self.var_x > 0.0 and self.var_s > 0.0):
-            raise ParameterError(f"variances must be positive: {self.var_x}, {self.var_s}")
+        check_scale("var_x", self.var_x)
+        check_scale("var_s", self.var_s)
         bound = self.var_x * self.var_s
         try:
             cov_sq = self.cov_xs**2

@@ -64,7 +64,7 @@ class LinearDecoder:
 
 def _check_rep(src: GaussianPairSource, rep: GaussianRepresentation) -> None:
     expect = src.var_x * t_max(rep.rate)
-    if abs(rep.cov_xz**2 - expect) > 1e-9 * max(src.var_x, 1.0):
+    if abs(rep.cov_xz**2 - expect) > 1e-9 * src.var_x:
         raise ParameterError(
             "representation violates the rate-correlation identity "
             f"cov_xz^2 = var_x*(1 - e^(-2R)): {rep.cov_xz**2} vs {expect}"

@@ -21,13 +21,17 @@ from rdclab import (
     GaussianReconstruction,
     ParameterError,
     Theorem5Instance,
+    boundary_curve,
     c_min,
     c_min_solver,
+    encoder_for_rate,
     extreme_point_b,
     gaussian_w2_squared,
     grid_oracle_rate,
     rdc_rate,
+    region_sweep,
     sandwich_check,
+    theorem5_gaussian_harness,
 )
 from rdclab.cli import bundled_source_path, load_discrete_source, main
 from rdclab.discrete_region import DiscreteSource
@@ -94,6 +98,53 @@ def test_nan_is_refused(call):
 def test_out_of_range_scale_is_refused(call):
     with pytest.raises(ParameterError, match="out of range|overflows"):
         call()
+
+
+def _at_scale(var):
+    return GaussianPairSource(0.0, var, 0.0, var, 0.6 * var)
+
+
+@pytest.mark.parametrize("var", [1e160, 1e80, 1e-80])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda src: boundary_curve(src, 0.5, 5), id="boundary_curve"),
+        pytest.param(
+            lambda src: region_sweep(src, encoder_for_rate(src, 0.5), [0.0, math.sqrt(src.var_x)]),
+            id="region_sweep",
+        ),
+        pytest.param(lambda src: theorem5_gaussian_harness(src, 0.5), id="harness"),
+    ],
+)
+def test_gaussian_scale_outside_var_range_is_refused(call, var):
+    # Past the range these raised OverflowError (1e160), refused a point
+    # mid-sweep (1e80) or returned a wrong region (1e-80, region_sweep).
+    with pytest.raises(ParameterError, match=r"var_x = .* is out of range \["):
+        call(_at_scale(var))
+
+
+@pytest.mark.parametrize("var", [1e-60, 1e60])
+def test_gaussian_scale_range_ends_are_exact(var):
+    unit = region_sweep(_at_scale(1.0), encoder_for_rate(_at_scale(1.0), 0.5), [0.0, 1.0])
+    src = _at_scale(var)
+    got = region_sweep(src, encoder_for_rate(src, 0.5), [0.0, math.sqrt(var)])
+    for (d, c), (d1, c1) in zip(got, unit):
+        assert d / var == pytest.approx(d1, rel=1e-12)
+        assert c - 0.5 * math.log(var) == pytest.approx(c1, rel=1e-12, abs=1e-12)
+
+
+def test_mutual_info_denominator_underflow_in_range():
+    # var_x in range, var_xhat so small that var_x * var_xhat underflows
+    src = GaussianPairSource(0.0, 1e-60, 0.0, 1.0, 0.0)
+    with pytest.raises(ParameterError, match="out of range|overflows"):
+        mutual_info_x_xhat(src, GaussianReconstruction(0.0, 1e-300, 5e-181))
+
+
+@pytest.mark.parametrize("sigma", ["1e160", "1e308", "1e-31"])
+def test_sigma_outside_range_exits_3(sigma, tmp_path, capsys):
+    argv = ["gauss-curves", "--sigma-x", sigma, "--points", "3", "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert "--sigma-x squared" in capsys.readouterr().err
 
 
 def test_infinite_d_budget_is_no_budget():

@@ -4,8 +4,8 @@ Each oracle evaluates one grid point or one decoder at a time with explicit
 Python loops and walks the decoders with its own odometer, so it shares no
 code with ``rdclab._kernels`` beyond the scalar quantile-coupling loop,
 ``_w2_quantile_py``, which the row kernel ``_w2_rows`` must match bit for bit.
-Two more references keep the forms the one-pass region run replaced: the
-per-chunk product form of the entropy kernel and the frontier filter that
+Two more references keep forms that faster ones replaced: the
+per-decoder product form of the entropy kernel and the frontier filter that
 sorts every point.
 """
 
@@ -25,6 +25,7 @@ from rdclab.discrete_region import (
     DiscreteSource,
     _frontier,
     _grid,
+    _simplex_grid,
     c_min_solver,
     region_and_c_min,
     region_approx,
@@ -137,20 +138,19 @@ def _cmin_scan_py(rows, n_z, row_d, joint_zs, d_budget):
 
 
 def _dc_scan_products(rows, n_z, row_d, joint_zs):
-    """``dc_scan`` with each chunk's joint built from row-by-p(z, s) products,
-    the form the table gather replaced."""
-    out_d, out_c = [], []
-    for idx, d in _kernels._decoders(row_d):
-        joint = np.zeros((idx.shape[0], rows.shape[1], joint_zs.shape[1]))
-        for z in range(n_z):
-            joint += rows[idx[:, z]][:, :, None] * joint_zs[z][None, None, :]
-        pk = joint.sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = joint * (np.log(pk)[:, :, None] - np.log(joint))
-        term[joint <= 0.0] = 0.0
-        out_d.append(d)
-        out_c.append(term.sum(axis=(1, 2)))
-    return np.concatenate(out_d), np.concatenate(out_c)
+    """``dc_scan`` with each decoder's joint built from row-by-p(z, s)
+    products, the form the value table replaced."""
+    idx = np.array(list(itertools.product(range(rows.shape[0]), repeat=n_z)))
+    d = np.zeros(idx.shape[0])
+    joint = np.zeros((idx.shape[0], rows.shape[1], joint_zs.shape[1]))
+    for z in range(n_z):
+        d += row_d[z, idx[:, z]]
+        joint += rows[idx[:, z]][:, :, None] * joint_zs[z][None, None, :]
+    pk = joint.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = joint * (np.log(pk)[:, :, None] - np.log(joint))
+    term[joint <= 0.0] = 0.0
+    return d, term.sum(axis=(1, 2))
 
 
 def _frontier_lexsort(d_all, c_all):
@@ -245,6 +245,25 @@ def w2_row_cases(draw):
     return xv, draw(_masses(nx)), yv, np.array(rows)
 
 
+@st.composite
+def outer_cases(draw):
+    """``outer_scan`` arguments from a seeded source whose p_X̃ has zero-mass
+    atoms, as the source atoms that no MMSE atom meets do: first, last and
+    inside the grid alphabet, or anywhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n_z = draw(st.integers(4, 6)), draw(st.integers(1, 2))
+    vals = np.sort(rng.choice(np.arange(-20, 21), m, replace=False) / 4.0)
+    edges_and_inside = st.just({0, m - 1, draw(st.integers(1, m - 2))})
+    zero = draw(st.one_of(edges_and_inside, st.sets(st.integers(0, m - 1), max_size=m - 1)))
+    p_xt = rng.dirichlet(np.ones(m))
+    p_xt[list(zero)] = 0.0
+    p_xt /= p_xt.sum()
+    rows = _simplex_grid(draw(st.integers(1, 3)), m)
+    row_d = rng.random((n_z, m)) @ rows.T
+    residual = draw(st.floats(0.0, 2.0))
+    return rows, n_z, row_d, rng.dirichlet(np.ones(n_z)), vals, p_xt, residual
+
+
 class TestAgainstLoopOracles:
     def test_grid_scan_bitwise(self):
         args = (1.0, 1.4189385332046727, 0.49, 0.5, 2.0, 400, 400)
@@ -289,6 +308,35 @@ class TestAgainstLoopOracles:
         assert args[0].shape[0] ** 3 > 5 * _kernels._CHUNK
         tol = _kernels.outer_tol(args[4])
         assert _kernels.outer_scan(*args) == _outer_scan_py(*args, tol)
+
+    @pytest.mark.parametrize(
+        "x_values, n_s, n_z, levels",
+        [
+            ([-1.0, 0.5, 2.0], 8, 2, 3),  # numpy sums eight or more terms pairwise
+            ([-1.0, 2.0], 9, 2, 4),
+            ([-1.0, 0.0, 1.0], 3, 1, 6),  # one encoder symbol: no prefix digits
+            ([0.5], 2, 2, 3),  # a one-atom alphabet: every row is [1.0]
+        ],
+    )
+    def test_dc_scan_edge_shapes(self, x_values, n_s, n_z, levels):
+        rng = np.random.default_rng(n_s * 10 + n_z)
+        src = DiscreteSource(
+            np.array(x_values), n_s, rng.dirichlet(np.ones(len(x_values) * n_s)).reshape(-1, n_s)
+        )
+        enc = Channel(rng.dirichlet(np.ones(n_z), size=len(x_values)))
+        _, _, rows, row_d, b = _grid(src, enc, levels)
+        d, c = _kernels.dc_scan(rows, n_z, row_d, b)
+        for ref in (_dc_scan_py(rows, n_z, row_d, b), _dc_scan_products(rows, n_z, row_d, b)):
+            np.testing.assert_array_equal(d.view(np.int64), ref[0].view(np.int64))
+            np.testing.assert_array_equal(c.view(np.int64), ref[1].view(np.int64))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(outer_cases())
+    def test_outer_scan_with_zero_mass_atoms(self, case):
+        got = _kernels.outer_scan(*case)
+        want = _outer_scan_py(*case, _kernels.outer_tol(case[4]))
+        assert got[0] == want[0]
+        assert np.float64(got[1]).view(np.int64) == np.float64(want[1]).view(np.int64)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(w2_row_cases())
@@ -406,14 +454,12 @@ class TestOnePass:
 class TestDecoderOrder:
     @pytest.mark.parametrize("n_z, n_rows", [(1, 9000), (2, 100), (3, 25)])
     def test_digits_follow_itertools_product(self, n_z, n_rows):
-        row_d = np.random.default_rng(n_z).random((n_z, n_rows))
-        chunks = list(_kernels._decoders(row_d))
-        idx = np.concatenate([i for i, _ in chunks])
-        d = np.concatenate([d for _, d in chunks])
+        blocks = list(_kernels._blocks(n_rows, n_z))
+        digits = np.concatenate([
+            np.column_stack((np.repeat(pre, last.size, axis=0), np.tile(last, len(pre))))
+            for pre, last in blocks
+        ])
         want = np.array(list(itertools.product(range(n_rows), repeat=n_z)))
-        assert n_rows**n_z > _kernels._CHUNK and len(chunks) > 1
-        np.testing.assert_array_equal(idx, want)
-        ref = np.zeros(want.shape[0])
-        for z in range(n_z):
-            ref += row_d[z, want[:, z]]
-        np.testing.assert_array_equal(d, ref)
+        assert n_rows**n_z > _kernels._CHUNK and len(blocks) > 1
+        assert max(len(pre) * last.size for pre, last in blocks) <= _kernels._CHUNK
+        np.testing.assert_array_equal(digits, want)

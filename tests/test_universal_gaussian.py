@@ -68,6 +68,15 @@ class TestEncoderForRate:
         with pytest.raises(ParameterError):
             linear_decoder_stats(UNIT, bad, LinearDecoder(1.0))
 
+    def test_representation_identity_is_relative_to_var_x(self):
+        # The identity needs cov_xz = 4.35e-7 here; 1e-6 would decode to D = 0
+        # at rate 0.1, below the least MSE var_x * e^(-0.2) = 8.19e-13.
+        small = GaussianPairSource(0.0, 1e-12, 0.0, 1.0, 5e-7)
+        with pytest.raises(ParameterError, match="rate-correlation identity"):
+            achieved_point(small, GaussianRepresentation(cov_xz=1e-6, rate=0.1), LinearDecoder(1e-6))
+        d, _ = achieved_point(small, encoder_for_rate(small, 0.1), LinearDecoder(4.35e-7))
+        assert d >= 1e-12 * math.exp(-0.2)
+
 
 class TestLinearDecoderStats:
     def test_constant_decoder(self):
