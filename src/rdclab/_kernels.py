@@ -129,7 +129,7 @@ def w2_quantile_pairs(xv, xp, yv, yp):
 def grid_rate_scan(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
     """Lowest rate over the (sigma, theta) grid meeting both budgets.
 
-    Returns (found, rate, mse, ce); the grid holds n_sigma scales up to
+    Returns (found, rate); the grid holds n_sigma scales up to
     3 sd(X) and, per scale, n_theta covariances across [-a, a] plus theta = 0.
     """
     sx = np.sqrt(var_x)
@@ -146,11 +146,8 @@ def grid_rate_scan(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
         rate = np.where(t >= 1.0, np.inf, -0.5 * np.log1p(-np.minimum(t, 1.0)))
     feasible = (mse <= d_budget) & (ce <= c_budget)
     if not feasible.any():
-        return False, np.inf, np.nan, np.nan
-    masked = np.where(feasible, rate, np.inf)
-    flat = int(np.argmin(masked))
-    i, j = np.unravel_index(flat, masked.shape)
-    return True, float(masked[i, j]), float(mse[i, j]), float(ce[i, j])
+        return False, np.inf
+    return True, float(rate[feasible].min())
 
 
 # ---------------------------------------------------------------------------

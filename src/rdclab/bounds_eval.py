@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_finite, check_nonneg
-from .gaussian_model import GaussianPairSource
+from .gaussian_model import GaussianPairSource, mse_of_reconstruction
 from .gaussian_tradeoff import c_threshold
-from .universal_gaussian import LinearDecoder, achieved_point
-from .universal_gaussian import encoder_for_rate, mmse_gain
+from .universal_gaussian import LinearDecoder, encoder_for_rate
+from .universal_gaussian import linear_decoder_stats, mmse_gain
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,9 @@ def theorem5_gaussian_harness(
         d1 = d3 = src.var_x * math.exp(-2.0 * r)
         sigma3 = abs(mmse_gain(rep))  # sigma_x * sqrt(1 - e^{-2R}), var_z = 1
         c3 = c_threshold(src, r)
-        d_b = achieved_point(src, rep, LinearDecoder(mmse_gain(rep)))[0]
+        d_b = mse_of_reconstruction(
+            src, linear_decoder_stats(src, rep, LinearDecoder(mmse_gain(rep)))
+        )
         inst = Theorem5Instance(src.var_x, sigma3, d1, d3, d_b)
         gap_lb = gap_lower_bound(inst)
         ratio_lb = ratio_lower_bound(inst)

@@ -269,7 +269,7 @@ def cmd_discrete_region(args) -> int:
 
     frontier, sol = discrete_region.region_and_c_min(src, encoder, d_budget, levels)
     ext_a = discrete_region.extreme_point_a(src, encoder)
-    if not sol.feasible:
+    if sol is None:
         raise InfeasibleBudgetError(
             f"no decoder on the grid meets the distortion budget {d_budget}"
         )

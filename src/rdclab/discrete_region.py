@@ -89,17 +89,16 @@ class DiscreteDistribution:
 class DiscreteSource:
     """Joint pmf of a real-valued X and a finite label S.
 
-    ``pmf[i, j] = P(X = x_values[i], S = j)``.  ``s_values`` optionally gives
-    numeric label values (defaults to 0..s_size-1) so Cov(X, S) is defined.
-    Every entry of ``x_values``, ``pmf`` and ``s_values`` must be finite, and
-    so must the squared span ``(x_max - x_min)^2``, which bounds every squared
-    distance the distortions and transport costs add up.
+    ``pmf[i, j] = P(X = x_values[i], S = j)``.  Labels are indices: every
+    label quantity is an entropy, so S needs no numeric values.  Every entry
+    of ``x_values`` and ``pmf`` must be finite, and so must the squared span
+    ``(x_max - x_min)^2``, which bounds every squared distance the
+    distortions and transport costs add up.
     """
 
     x_values: np.ndarray
     s_size: int
     pmf: np.ndarray
-    s_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         xv = np.asarray(self.x_values, dtype=np.float64)
@@ -119,26 +118,14 @@ class DiscreteSource:
         span = float(xv[-1]) - float(xv[0])  # xv is not empty: pmf sums to 1
         if not math.isfinite(span * span):
             raise ParameterError(f"x_values span {span} overflows when squared")
-        sv = self.s_values
-        sv = np.arange(self.s_size, dtype=np.float64) if sv is None else np.asarray(
-            sv, dtype=np.float64
-        )
-        if sv.shape != (self.s_size,):
-            raise ParameterError("s_values must have length s_size")
-        check_finite_array("s_values", sv)
         object.__setattr__(self, "x_values", xv)
         object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "s_values", sv)
-        for arr in (xv, pmf, sv):
+        for arr in (xv, pmf):
             arr.flags.writeable = False
 
     @property
     def p_x(self) -> np.ndarray:
         return self.pmf.sum(axis=1)
-
-    @property
-    def p_s(self) -> np.ndarray:
-        return self.pmf.sum(axis=0)
 
     def mean_x(self) -> float:
         return float(self.x_values @ self.p_x)
@@ -146,13 +133,6 @@ class DiscreteSource:
     def var_x(self) -> float:
         m = self.mean_x()
         return float(((self.x_values - m) ** 2) @ self.p_x)
-
-    def cov_xs(self) -> float:
-        mx = self.mean_x()
-        ms = float(self.s_values @ self.p_s)
-        return float(
-            (self.x_values - mx) @ self.pmf @ (self.s_values - ms)
-        )
 
 
 @dataclass(frozen=True)
@@ -196,17 +176,17 @@ class MMSEReduction:
 
 @dataclass(frozen=True)
 class CMinSolution:
-    """Outcome of the minimum-classification-loss search under an MSE budget.
+    """Outcome of a minimum-classification-loss search that some decoder
+    within the MSE budget meets; the solvers return None when none does.
 
     ``d_b`` is the distortion of extreme point B, the outer bound at the
     minimising decoder: E[(X - X̃)^2] + W2^2(p_X̃, p_X̂ at c_min).
     """
 
-    feasible: bool
-    c_min: float | None = None
-    d_b: float | None = None
-    decoder: Channel | None = None
-    p_xhat: DiscreteDistribution | None = None
+    c_min: float
+    d_b: float
+    decoder: Channel
+    p_xhat: DiscreteDistribution
 
 
 @dataclass(frozen=True)
@@ -452,14 +432,13 @@ def _check_c_min_args(d_budget: float, levels: int) -> None:
         raise ParameterError("levels must be >= 3")
 
 
-def _c_min_solution(src, encoder, grid, idx, best_c) -> CMinSolution:
+def _c_min_solution(src, encoder, grid, idx, best_c) -> CMinSolution | None:
     red, vals, rows = grid[:3]
     if idx is None:
-        return CMinSolution(feasible=False)
+        return None
     decoder = Channel(rows[idx])
     p_xhat = DiscreteDistribution(vals, _marginal_xhat(src, encoder, decoder))
     return CMinSolution(
-        feasible=True,
         c_min=best_c,
         d_b=red.residual + w2_squared_quantile(red.p_xtilde, p_xhat),
         decoder=decoder,
@@ -469,12 +448,13 @@ def _c_min_solution(src, encoder, grid, idx, best_c) -> CMinSolution:
 
 def c_min_solver(
     src: DiscreteSource, encoder: Channel, d_budget: float, levels: int
-) -> CMinSolution:
+) -> CMinSolution | None:
     """Grid search for the decoder minimising H(S | X̂) within an MSE budget.
 
     Decoder rows range over the simplex grid with entries in multiples of
     1/levels; ties break toward the lexicographically first decoder.  A
-    ``d_budget`` of +inf is no budget; NaN is refused.
+    ``d_budget`` of +inf is no budget; NaN is refused.  None when no grid
+    decoder meets the budget.
     """
     _check_c_min_args(d_budget, levels)
     grid = _grid(src, encoder, levels)
@@ -489,7 +469,7 @@ def extreme_point_b(
     """Minimum-classification-loss corner:
     (residual + W2^2(p_X̃, p_X̂_at_c_min), C_min)."""
     sol = c_min_solver(src, encoder, d_budget, levels)
-    if not sol.feasible:
+    if sol is None:
         raise InfeasibleBudgetError(
             f"no grid decoder meets the distortion budget {d_budget}"
         )
@@ -540,7 +520,7 @@ def region_approx(
 
 def region_and_c_min(
     src: DiscreteSource, encoder: Channel, d_budget: float, levels: int
-) -> tuple[list[tuple[float, float]], CMinSolution]:
+) -> tuple[list[tuple[float, float]], CMinSolution | None]:
     """``region_approx`` and ``c_min_solver``, refusing as those two calls
     would in that order, from one pass over the grid."""
     _check_region_size(src, encoder, levels)

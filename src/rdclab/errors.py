@@ -5,8 +5,9 @@ refused everywhere; rates and distortion budgets are >= 0 and may be +inf (no
 budget); a classification budget c may be +inf (no budget) or -inf (one
 nothing meets); means, variances, covariances, gains and the entries of
 discrete distributions and channels must be finite; the variances of a
-Gaussian source lie in ``VAR_RANGE``.  The scalar checks use ``math``, not
-numpy: they run in constructors built thousands of times a sweep.
+Gaussian source lie in ``VAR_RANGE``; a gain or covariance whose square
+overflows is refused.  The scalar checks use ``math``, not numpy: they run
+in constructors built thousands of times a sweep.
 """
 
 import math
@@ -68,6 +69,14 @@ def check_scale(name: str, value: float) -> None:
     lo, hi = VAR_RANGE
     if not lo <= value <= hi:
         raise ParameterError(f"{name} = {value} is out of range [{lo:g}, {hi:g}]")
+
+
+def checked_square(name: str, value: float) -> float:
+    """value**2, refusing a value whose square overflows."""
+    try:
+        return value**2
+    except OverflowError:
+        raise ParameterError(f"{name} = {value} is out of range") from None
 
 
 def check_finite_array(name: str, arr: np.ndarray) -> None:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateDependenceError, ParameterError
-from .errors import check_finite, check_nonneg, check_not_nan, check_scale
+from .errors import check_finite, check_nonneg, check_not_nan, check_scale, checked_square
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 
@@ -48,10 +48,7 @@ class GaussianPairSource:
         check_scale("var_x", self.var_x)
         check_scale("var_s", self.var_s)
         bound = self.var_x * self.var_s
-        try:
-            cov_sq = self.cov_xs**2
-        except OverflowError:
-            raise ParameterError(f"cov_xs = {self.cov_xs} is out of range") from None
+        cov_sq = checked_square("cov_xs", self.cov_xs)
         if cov_sq > bound:
             raise ParameterError(f"cov_xs^2 = {cov_sq} exceeds var_x*var_s = {bound}")
         if cov_sq == bound and not self.allow_degenerate:
@@ -94,8 +91,10 @@ class GaussianReconstruction:
         check_nonneg("var_xhat", self.var_xhat)
 
     def validate_against(self, src: GaussianPairSource) -> None:
-        """Check the correlation bound theta2^2 <= var_x * var_xhat."""
-        if self.cov_xxhat**2 > src.var_x * self.var_xhat * (1.0 + 1e-12):
+        """Check the correlation bound theta2^2 <= var_x * var_xhat; a theta2
+        whose square overflows is refused."""
+        cov_sq = checked_square("cov_xxhat", self.cov_xxhat)
+        if cov_sq > src.var_x * self.var_xhat * (1.0 + 1e-12):
             raise ParameterError(
                 "cov_xxhat^2 exceeds var_x * var_xhat: not a valid covariance"
             )

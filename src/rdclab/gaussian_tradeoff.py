@@ -37,7 +37,6 @@ from .errors import ParameterError, check_finite, check_nonneg, check_not_nan
 from .gaussian_model import GaussianPairSource, TradeoffPoint
 
 Status = Literal["feasible", "infeasible", "unbounded"]
-Binding = Literal["distortion", "classification", "both", "none"]
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,13 @@ class FeasibilityVerdict:
 
     ``value`` is the optimal rate (for rate solvers) or distortion (for
     distortion solvers) and is present exactly when ``status == "feasible"``.
-    ``binding`` reports which budget is active at the optimum; for distortion
-    solvers the "distortion" slot denotes the rate budget (the solution sits
-    on the rate-limited fidelity floor).  ``branch`` carries the printed-case
-    label used by the CSV/JSON emitters.
+    ``branch`` labels the case that produced it, as the CSV/JSON emitters
+    print it; for ``rdc_rate`` it names the active budget ("distortion",
+    "classification" or "both").
     """
 
     status: Status
     value: float | None = None
-    binding: Binding | None = None
     branch: str | None = None
 
     def __post_init__(self) -> None:
@@ -148,15 +145,15 @@ def rdc_rate(src: GaussianPairSource, d: float, c: float) -> FeasibilityVerdict:
     if t >= 1.0:
         return FeasibilityVerdict("unbounded", branch="unbounded")
     if t == 0.0:
-        return FeasibilityVerdict("feasible", 0.0, "none", branch="zero_rate")
+        return FeasibilityVerdict("feasible", 0.0, branch="zero_rate")
     rate = -0.5 * math.log1p(-t)
     if t_d == t_c:
-        binding: Binding = "both"
+        branch = "both"
     elif t_d > t_c:
-        binding = "distortion"
+        branch = "distortion"
     else:
-        binding = "classification"
-    return FeasibilityVerdict("feasible", rate, binding, branch=binding)
+        branch = "classification"
+    return FeasibilityVerdict("feasible", rate, branch=branch)
 
 
 def dcr_distortion_printed(
@@ -181,15 +178,13 @@ def dcr_distortion_printed(
     thr = c_threshold(src, rate)
     if c > thr:
         return FeasibilityVerdict(
-            "feasible", src.var_x * math.exp(-2.0 * rate), "distortion", branch="case1"
+            "feasible", src.var_x * math.exp(-2.0 * rate), branch="case1"
         )
     if cmin <= c <= thr:
-        return FeasibilityVerdict(
-            "feasible", _printed_case2(src, c), "classification", branch="case2"
-        )
+        return FeasibilityVerdict("feasible", _printed_case2(src, c), branch="case2")
     # Printed case 3; dead code for continuous sources, kept for fidelity.
     if c > src.h_s and rate > src.h_x:
-        return FeasibilityVerdict("feasible", 0.0, "none", branch="case3")
+        return FeasibilityVerdict("feasible", 0.0, branch="case3")
     return FeasibilityVerdict("infeasible", branch="infeasible")
 
 
@@ -211,8 +206,7 @@ def dcr_distortion_oracle(
     # var_x*(1 - t_max), written so the case-1 agreement with the printed
     # formula is bitwise.
     value = src.var_x * math.exp(-2.0 * rate)
-    binding: Binding = "both" if t_min == t_cap else "distortion"
-    return FeasibilityVerdict("feasible", value, binding, branch="case1")
+    return FeasibilityVerdict("feasible", value, branch="case1")
 
 
 def grid_oracle_rate(
@@ -234,25 +228,12 @@ def grid_oracle_rate(
         raise ParameterError("grid resolution must be at least 16 per axis")
     check_nonneg("distortion budget", d)
     check_not_nan("classification budget c", c)
-    found, rate, mse, ce = _kernels.grid_rate_scan(
-        src.var_x, src.h_s, src.rho_sq, d, c, n_sigma, n_theta
-    )
+    found, rate = _kernels.grid_rate_scan(src.var_x, src.h_s, src.rho_sq, d, c, n_sigma, n_theta)
     if not found:
         return FeasibilityVerdict("infeasible", branch="infeasible")
     if math.isinf(rate):
         return FeasibilityVerdict("unbounded", branch="unbounded")
-    # Which budget sits close to its bound at the winning grid point.
-    d_tight = (d - mse) <= 2e-2 * max(d, src.var_x)
-    c_tight = (c - ce) <= 2e-2 * max(abs(c), 1.0)
-    if d_tight and c_tight:
-        binding: Binding = "both"
-    elif d_tight:
-        binding = "distortion"
-    elif c_tight:
-        binding = "classification"
-    else:
-        binding = "none"
-    return FeasibilityVerdict("feasible", rate, binding, branch="grid")
+    return FeasibilityVerdict("feasible", rate, branch="grid")
 
 
 def boundary_curve(

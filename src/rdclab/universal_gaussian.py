@@ -2,8 +2,10 @@
 
 A rate-R Gaussian representation is normalised to Z ~ N(0, 1) with
 Cov(X, Z) = sigma_x * sqrt(1 - e^{-2R}); any other jointly Gaussian Z of the
-same rate differs only by an affine map the decoder absorbs.  Decoders are
-deterministic linear maps X̂ = sign * gamma * Z + mu_x.
+same rate differs only by an affine map the decoder absorbs, so Cov(X, Z)
+alone states the representation: its rate is -0.5 * ln(1 - cov_xz^2 / var_x).
+Decoders are deterministic linear maps X̂ = gamma * Z + mu_x; a negative
+gamma flips the sign.
 
 Key structural fact (exact, not asymptotic): the classification loss achieved
 by any nonzero linear decode of Z is independent of gamma and equals
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, check_finite, check_nonneg
+from .errors import ParameterError, check_finite, check_nonneg, checked_square
 from .gaussian_model import (
     GaussianPairSource,
     GaussianReconstruction,
@@ -38,56 +40,40 @@ _BISECTION_TOL = 1e-9  # bracket width at which rate_penalty stops bisecting
 
 @dataclass(frozen=True)
 class GaussianRepresentation:
-    """Gaussian encoder output Z at a cached rate budget.  var_z = 1 by
-    construction (Z ~ N(0, 1)), so it is not a field."""
+    """Gaussian encoder output Z ~ N(0, 1), stated by Cov(X, Z).  var_z = 1 by
+    construction, so it is not a field; the rate follows from cov_xz."""
 
     cov_xz: float
-    rate: float
 
     def __post_init__(self) -> None:
         check_finite("cov_xz", self.cov_xz)
-        check_nonneg("rate", self.rate)
 
 
 @dataclass(frozen=True)
 class LinearDecoder:
-    """Scaling gain applied to the representation; sign tracks sign(rho_xz)."""
+    """Signed scaling gain applied to the representation."""
 
     gamma: float
-    sign: int = 1
 
     def __post_init__(self) -> None:
         check_finite("gamma", self.gamma)
-        if self.sign not in (-1, 1):
-            raise ParameterError("sign must be +1 or -1")
-
-
-def _check_rep(src: GaussianPairSource, rep: GaussianRepresentation) -> None:
-    expect = src.var_x * t_max(rep.rate)
-    if abs(rep.cov_xz**2 - expect) > 1e-9 * src.var_x:
-        raise ParameterError(
-            "representation violates the rate-correlation identity "
-            f"cov_xz^2 = var_x*(1 - e^(-2R)): {rep.cov_xz**2} vs {expect}"
-        )
 
 
 def encoder_for_rate(src: GaussianPairSource, rate: float) -> GaussianRepresentation:
     """Representation Z ~ N(0,1) with I(X; Z) exactly equal to the budget."""
     check_nonneg("rate", rate)
     cov_xz = math.sqrt(src.var_x * t_max(rate))
-    return GaussianRepresentation(cov_xz=cov_xz, rate=rate)
+    return GaussianRepresentation(cov_xz=cov_xz)
 
 
 def linear_decoder_stats(
     src: GaussianPairSource, rep: GaussianRepresentation, dec: LinearDecoder
 ) -> GaussianReconstruction:
-    """Second-order statistics of X̂ = sign * gamma * (Z - mu_z) + mu_x."""
-    _check_rep(src, rep)
-    return GaussianReconstruction(
-        mu_xhat=src.mu_x,
-        var_xhat=dec.gamma**2,
-        cov_xxhat=dec.sign * dec.gamma * rep.cov_xz,
-    )
+    """Second-order statistics of X̂ = gamma * Z + mu_x; a representation with
+    cov_xz^2 > var_x (no rate gives it) is refused whatever the gain."""
+    GaussianReconstruction(0.0, 1.0, rep.cov_xz).validate_against(src)
+    var_xhat = checked_square("gamma", dec.gamma)
+    return GaussianReconstruction(src.mu_x, var_xhat, dec.gamma * rep.cov_xz)
 
 
 def gamma_for_classification(
@@ -97,8 +83,8 @@ def gamma_for_classification(
     with sigma_z = 1.
 
     Pure transcription; the loss this gain actually achieves must be measured
-    with ``achieved_point`` (it equals c_threshold(rep.rate), not C, except
-    where the two coincide).
+    with ``achieved_point`` (it equals c_threshold at the representation's
+    rate, not C, except where the two coincide).
     """
     if src.cov_xs == 0.0:
         raise ParameterError("gamma_for_classification needs a correlated label")

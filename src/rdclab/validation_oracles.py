@@ -3,8 +3,9 @@
 Sampling uses the counter-based Philox generator keyed by the seed, so
 regeneration is bit-identical and parallel batches stay reproducible.  The
 joint law realised is the unique jointly Gaussian one consistent with the
-Markov chain S - X - W (W standing for the representation Z or the
-reconstruction X̂): S and W are drawn conditionally independent given X.
+Markov chain S - X - X̂: S and X̂ are drawn conditionally independent given X.
+A representation Z ~ N(0, 1) is sampled as the reconstruction
+``GaussianReconstruction(0.0, 1.0, cov_xz)``.
 
 Estimation is plug-in: fit the sample covariance, evaluate the Gaussian
 closed forms on it.  The model class is exactly Gaussian here, so plug-in is
@@ -23,29 +24,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, checked_square
 from .gaussian_model import (
     GaussianPairSource,
     GaussianReconstruction,
     differential_entropy,
 )
-from .universal_gaussian import GaussianRepresentation
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Aligned draws of (x, s, z, x̂); z and x̂ coincide when only one of the
-    representation/reconstruction was sampled (identity decode convention)."""
+    """Aligned draws of (x, s, x̂)."""
 
     n: int
     seed: int
     x: np.ndarray
     s: np.ndarray
-    z: np.ndarray
     xhat: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x", "s", "z", "xhat"):
+        for name in ("x", "s", "xhat"):
             col = getattr(self, name)
             if col.shape != (self.n,):
                 raise ParameterError(f"column {name} must have length n={self.n}")
@@ -53,21 +51,18 @@ class SampleBatch:
 
 def sample_joint(
     src: GaussianPairSource,
-    target: GaussianRepresentation | GaussianReconstruction,
+    target: GaussianReconstruction,
     n: int,
     seed: int,
 ) -> SampleBatch:
-    """Draw n samples of (X, S, W) for W a representation or reconstruction."""
+    """Draw n samples of (X, S, X̂); a cov_xxhat whose square overflows is refused."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if isinstance(target, GaussianRepresentation):
-        mu_w, var_w, cov_xw = 0.0, 1.0, target.cov_xz  # Z ~ N(0, 1)
-    elif isinstance(target, GaussianReconstruction):
-        mu_w, var_w, cov_xw = target.mu_xhat, target.var_xhat, target.cov_xxhat
-    else:
+    if not isinstance(target, GaussianReconstruction):
         raise ParameterError(f"unsupported target type {type(target)!r}")
+    mu_w, var_w, cov_xw = target.mu_xhat, target.var_xhat, target.cov_xxhat
     resid_s = src.var_s - src.cov_xs**2 / src.var_x
-    resid_w = var_w - cov_xw**2 / src.var_x
+    resid_w = var_w - checked_square("cov_xxhat", cov_xw) / src.var_x
     if resid_s < -1e-12 * max(src.var_s, 1.0) or resid_w < -1e-12 * max(var_w, 1.0):
         raise ParameterError("covariance structure is not positive semidefinite")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -76,7 +71,7 @@ def sample_joint(
     centered = x - src.mu_x
     s = src.mu_s + (src.cov_xs / src.var_x) * centered + math.sqrt(max(resid_s, 0.0)) * u[1]
     w = mu_w + (cov_xw / src.var_x) * centered + math.sqrt(max(resid_w, 0.0)) * u[2]
-    return SampleBatch(n=n, seed=seed, x=x, s=s, z=w, xhat=w)
+    return SampleBatch(n=n, seed=seed, x=x, s=s, xhat=w)
 
 
 def plugin_estimates(batch: SampleBatch) -> dict:

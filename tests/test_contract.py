@@ -19,8 +19,11 @@ from hypothesis import strategies as st
 from rdclab import (
     GaussianPairSource,
     GaussianReconstruction,
+    GaussianRepresentation,
+    LinearDecoder,
     ParameterError,
     Theorem5Instance,
+    achieved_point,
     boundary_curve,
     c_min,
     c_min_solver,
@@ -30,6 +33,7 @@ from rdclab import (
     grid_oracle_rate,
     rdc_rate,
     region_sweep,
+    sample_joint,
     sandwich_check,
     theorem5_gaussian_harness,
 )
@@ -39,6 +43,7 @@ from rdclab.errors import check_finite, check_nonneg, check_not_nan
 from rdclab.gaussian_model import mutual_info_x_xhat
 
 FLIP = load_discrete_source(bundled_source_path())
+HALF = GaussianPairSource(0, 1, 0, 1, 0.5)
 SOURCE_FILES = (bundled_source_path(), Path(__file__).parent / "golden" / "x2_s2_z3_source.json")
 
 
@@ -92,6 +97,22 @@ def test_nan_is_refused(call):
         pytest.param(
             lambda: DiscreteSource([-1e200, 1e200], 2, [[0.5, 0.0], [0.0, 0.5]]),
             id="discrete_span_squared",
+        ),
+        pytest.param(
+            lambda: achieved_point(HALF, GaussianRepresentation(1e200), LinearDecoder(1.0)),
+            id="cov_xz_squared",
+        ),
+        pytest.param(
+            lambda: region_sweep(HALF, encoder_for_rate(HALF, 0.5), [1e160]),
+            id="gamma_squared",
+        ),
+        pytest.param(
+            lambda: GaussianReconstruction(0, 1e300, 1e300).validate_against(HALF),
+            id="cov_xxhat_squared",
+        ),
+        pytest.param(
+            lambda: sample_joint(HALF, GaussianReconstruction(0, 1e300, 1e200), 10, 0),
+            id="sample_joint_cov_squared",
         ),
     ],
 )
@@ -149,7 +170,7 @@ def test_sigma_outside_range_exits_3(sigma, tmp_path, capsys):
 
 def test_infinite_d_budget_is_no_budget():
     sol = c_min_solver(*FLIP, math.inf, 4)
-    assert sol.feasible and sol.c_min == pytest.approx(0.32508297339144824, abs=1e-12)
+    assert sol is not None and sol.c_min == pytest.approx(0.32508297339144824, abs=1e-12)
 
 
 class TestRhoCheckedFirst:

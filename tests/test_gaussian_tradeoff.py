@@ -88,13 +88,13 @@ class TestRdcRate:
         v = rdc_rate(UNIT, 0.5, 2.0)
         assert v.status == "feasible"
         assert v.value == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
-        assert v.binding == "distortion"
+        assert v.branch == "distortion"
 
     def test_classification_branch(self):
         v = rdc_rate(UNIT, 0.9, 1.2)
         assert v.status == "feasible"
         assert v.value == pytest.approx(0.6430671089150921, abs=1e-12)
-        assert v.binding == "classification"
+        assert v.branch == "classification"
 
     def test_infeasible_below_c_min(self):
         assert rdc_rate(UNIT, 0.9, 1.0).status == "infeasible"
@@ -104,7 +104,7 @@ class TestRdcRate:
 
     def test_zero_rate_corner(self):
         v = rdc_rate(UNIT, 1.5, 2.0)
-        assert v.value == 0.0 and v.binding == "none"
+        assert v.value == 0.0 and v.branch == "zero_rate"
 
     def test_matches_printed_branches(self):
         rng = np.random.default_rng(5)
@@ -197,7 +197,7 @@ class TestDcrOracle:
             d = rng.uniform(0.05, 0.99)
             c = rng.uniform(c_min(UNIT) + 0.01, H_UNIT + 0.5)
             v = rdc_rate(UNIT, d, c)
-            if v.status != "feasible" or v.binding != "distortion":
+            if v.status != "feasible" or v.branch != "distortion":
                 continue
             back = dcr_distortion_oracle(UNIT, c, v.value)
             assert back.status == "feasible"

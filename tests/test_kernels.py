@@ -39,8 +39,6 @@ def _grid_rate_scan_py(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta
     sx = np.sqrt(var_x)
     found = False
     best_rate = np.inf
-    best_mse = np.nan
-    best_ce = np.nan
     for i in range(n_sigma):
         sig = 3.0 * sx * (i + 1) / n_sigma
         vh = sig * sig
@@ -62,11 +60,8 @@ def _grid_rate_scan_py(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta
             else:
                 rate = -0.5 * np.log1p(-t)
             found = True
-            if rate < best_rate:
-                best_rate = rate
-                best_mse = mse
-                best_ce = ce
-    return found, best_rate, best_mse, best_ce
+            best_rate = min(best_rate, rate)
+    return found, best_rate
 
 
 def _entropy_py(rows, joint_zs, idx):
@@ -269,8 +264,7 @@ class TestAgainstLoopOracles:
         args = (1.0, 1.4189385332046727, 0.49, 0.5, 2.0, 400, 400)
         got = _kernels.grid_rate_scan(*args)
         ref = _grid_rate_scan_py(*args)
-        assert got[0] == ref[0]
-        assert got[1] == ref[1] and got[2] == ref[2] and got[3] == ref[3]
+        assert got == ref
 
     def test_grid_scan_infeasible_case(self):
         args = (1.0, 1.4189385332046727, 0.49, 0.5, 1.0, 64, 64)
@@ -429,8 +423,8 @@ class TestOnePass:
             got_frontier, got = region_and_c_min(src, enc, budget, levels)
             want = c_min_solver(src, enc, budget, levels)
             assert got_frontier == frontier
-            assert got.feasible == want.feasible == (flat >= 0)
-            if got.feasible:
+            assert (got is None) == (want is None) == (flat < 0)
+            if got is not None:
                 assert (got.c_min, got.d_b) == (want.c_min, want.d_b)
                 np.testing.assert_array_equal(got.decoder.matrix, want.decoder.matrix)
 

@@ -64,18 +64,28 @@ class TestEncoderForRate:
             encoder_for_rate(UNIT, -0.1)
 
     def test_representation_identity_enforced(self):
-        bad = GaussianRepresentation(cov_xz=0.9, rate=0.1)
-        with pytest.raises(ParameterError):
-            linear_decoder_stats(UNIT, bad, LinearDecoder(1.0))
+        # cov_xz^2 = var_x * (1 - e^(-2R)) has a rate R in [0, inf] iff
+        # cov_xz^2 <= var_x, so a larger covariance is no representation.
+        bad = GaussianRepresentation(cov_xz=1.1)
+        for gain in (1.0, 0.0):
+            with pytest.raises(ParameterError, match="not a valid covariance"):
+                linear_decoder_stats(UNIT, bad, LinearDecoder(gain))
 
     def test_representation_identity_is_relative_to_var_x(self):
-        # The identity needs cov_xz = 4.35e-7 here; 1e-6 would decode to D = 0
-        # at rate 0.1, below the least MSE var_x * e^(-0.2) = 8.19e-13.
+        # cov_xz = 2e-6 needs var_x >= 4e-12; it would decode to D = 0 at
+        # var_x = 1e-12, as if the rate were infinite.
         small = GaussianPairSource(0.0, 1e-12, 0.0, 1.0, 5e-7)
-        with pytest.raises(ParameterError, match="rate-correlation identity"):
-            achieved_point(small, GaussianRepresentation(cov_xz=1e-6, rate=0.1), LinearDecoder(1e-6))
+        with pytest.raises(ParameterError, match="not a valid covariance"):
+            achieved_point(small, GaussianRepresentation(cov_xz=2e-6), LinearDecoder(1e-6))
         d, _ = achieved_point(small, encoder_for_rate(small, 0.1), LinearDecoder(4.35e-7))
         assert d >= 1e-12 * math.exp(-0.2)
+
+    def test_gain_with_subnormal_square_is_legal(self):
+        # gamma^2 rounds as a subnormal; checking the decoded X̂ against
+        # var_x * var_xhat would refuse this valid decoder.
+        src = GaussianPairSource(0.0, 0.7, 0.0, 1.0, 0.1)
+        stats = linear_decoder_stats(src, encoder_for_rate(src, 30.0), LinearDecoder(3e-161))
+        assert stats.var_xhat > 0.0
 
 
 class TestLinearDecoderStats:
@@ -102,8 +112,9 @@ class TestLinearDecoderStats:
     def test_sign_tracks_negative_correlation(self):
         src = GaussianPairSource(0.0, 1.0, 0.0, 1.0, -0.7)
         rep = encoder_for_rate(src, R_STAR)
-        stats = linear_decoder_stats(src, rep, LinearDecoder(0.7, sign=-1))
+        stats = linear_decoder_stats(src, rep, LinearDecoder(-0.7))
         assert stats.cov_xxhat == pytest.approx(-0.49, abs=1e-12)
+        assert stats.var_xhat == pytest.approx(0.49, abs=1e-12)
 
 
 class TestGammaForClassification:
