@@ -123,26 +123,45 @@ def bundled_source_path(name: str = "flip01_source") -> Path:
     return Path(resources.files("rdclab").joinpath(f"data/{name}.json"))
 
 
+def _number_array(payload: dict, key: str, rank: int) -> np.ndarray:
+    """payload[key] as a float64 array: lists nested ``rank`` deep around JSON
+    numbers (a boolean is not one), rectangular and within float range."""
+
+    def numbers(value, depth: int) -> bool:
+        if depth == 0:
+            return type(value) in (int, float)
+        return isinstance(value, list) and all(numbers(v, depth - 1) for v in value)
+
+    try:
+        if numbers(payload[key], rank):
+            return np.asarray(payload[key], dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged rows; an int past float range
+        pass
+    raise ParameterError(f"source file: {key} must be a rectangular rank-{rank} array of numbers")
+
+
 def load_discrete_source(path: str | Path):
     """Read the discrete-source JSON schema; returns (source, encoder).
 
     Schema: {"x_values": [...], "s_size": k, "pmf": [[...]], "encoder": [[...]]}
-    with pmf rows indexed by x and columns by s.
+    of numbers, with pmf rows indexed by x and columns by s.
     """
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read source file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParameterError(f"source file {path} must hold a JSON object")
     required = {"x_values", "s_size", "pmf", "encoder"}
     missing = required - set(payload)
     if missing:
         raise ParameterError(f"source file missing keys: {sorted(missing)}")
     src = discrete_region.DiscreteSource(
-        x_values=np.asarray(payload["x_values"], dtype=np.float64),
-        s_size=int(payload["s_size"]),
-        pmf=np.asarray(payload["pmf"], dtype=np.float64),
+        x_values=_number_array(payload, "x_values", 1),
+        s_size=payload["s_size"],
+        pmf=_number_array(payload, "pmf", 2),
     )
-    encoder = discrete_region.Channel(np.asarray(payload["encoder"], dtype=np.float64))
+    encoder = discrete_region.Channel(_number_array(payload, "encoder", 2))
     if encoder.n_in != src.x_values.size:
         raise ParameterError("encoder row count must match x_values length")
     return src, encoder

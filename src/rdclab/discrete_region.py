@@ -107,11 +107,12 @@ class DiscreteSource:
         check_finite_array("pmf", pmf)
         if xv.ndim != 1 or np.any(np.diff(xv) <= 0.0):
             raise ParameterError("x_values must be 1-D and strictly increasing")
-        if self.s_size < 2:
-            raise ParameterError("s_size must be >= 2")
-        if pmf.shape != (xv.size, self.s_size):
+        s_size = self.s_size
+        if isinstance(s_size, bool) or not isinstance(s_size, (int, np.integer)) or s_size < 2:
+            raise ParameterError(f"s_size must be an integer >= 2, got {s_size!r}")
+        if pmf.shape != (xv.size, s_size):
             raise ParameterError(
-                f"pmf must have shape {(xv.size, self.s_size)}, got {pmf.shape}"
+                f"pmf must have shape {(xv.size, s_size)}, got {pmf.shape}"
             )
         if np.any(pmf < 0.0) or abs(float(pmf.sum()) - 1.0) > _STOCHASTIC_TOL:
             raise ParameterError("pmf must be nonnegative and sum to 1")

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 
-# Products of up to four such variances (var_s * var_x**2 * var_xhat in
-# h(S | X̂)) stay normal floats: no Gaussian formula overflows or underflows.
+# var_x * var_s (in rho^2) stays a normal float; var_xhat is not bounded, so it
+# enters only through the ratios of t = (theta2 / var_x) * (theta2 / var_xhat).
 VAR_RANGE = (1e-60, 1e60)
 
 

@@ -126,19 +126,20 @@ def differential_entropy(var: float) -> float:
     return 0.5 * (LOG_2PI_E + math.log(var))
 
 
+def squared_correlation(src: GaussianPairSource, rec: GaussianReconstruction) -> float:
+    """t = theta2^2 / (var_x * var_xhat) as two ratios: no product of scales."""
+    return (rec.cov_xxhat / src.var_x) * (rec.cov_xxhat / rec.var_xhat)
+
+
 def mutual_info_x_xhat(src: GaussianPairSource, rec: GaussianReconstruction) -> float:
-    """I(X; X̂) = -0.5 * ln(1 - theta2^2 / (var_x * var_xhat)).
+    """I(X; X̂) = -0.5 * ln(1 - t), t = theta2^2 / (var_x * var_xhat).
 
     Returns 0 for an uninformative reconstruction (theta2 = 0 or a constant
-    decoder) and +inf for a perfectly correlated one.  Scales whose
-    denominator underflows to 0 or overflows to inf are refused.
+    decoder) and +inf for a perfectly correlated one.
     """
     if rec.var_xhat == 0.0 or rec.cov_xxhat == 0.0:
         return 0.0
-    den = src.var_x * rec.var_xhat
-    if not 0.0 < den < math.inf:
-        raise ParameterError(f"var_x * var_xhat = {den} is out of range")
-    t = rec.cov_xxhat**2 / den
+    t = squared_correlation(src, rec)
     if t >= 1.0:
         return math.inf
     return -0.5 * math.log1p(-t)
@@ -147,19 +148,16 @@ def mutual_info_x_xhat(src: GaussianPairSource, rec: GaussianReconstruction) -> 
 def cond_entropy_s_given_xhat(
     src: GaussianPairSource, rec: GaussianReconstruction
 ) -> float:
-    """h(S | X̂) = h(S) + 0.5 * ln(1 - theta1^2 theta2^2 / (var_s var_x^2 var_xhat)).
+    """h(S | X̂) = h(S) + 0.5 * ln(1 - rho^2 * t), t = theta2^2 / (var_x * var_xhat).
 
     Uses the Markov chain S - X - X̂, under which
-    Cov(S, X̂) = theta1 * theta2 / var_x.  Scales whose denominator
-    underflows to 0 or overflows to inf are refused, not turned into NaN.
+    Cov(S, X̂) = theta1 * theta2 / var_x, so the squared correlation of S and
+    X̂ is rho^2 * t.
     """
     h_s = src.h_s
     if rec.var_xhat == 0.0 or rec.cov_xxhat == 0.0:
         return h_s
-    den = src.var_s * src.var_x**2 * rec.var_xhat
-    if not 0.0 < den < math.inf:
-        raise ParameterError(f"var_s * var_x^2 * var_xhat = {den} is out of range")
-    arg = 1.0 - (src.cov_xs**2 * rec.cov_xxhat**2) / den
+    arg = 1.0 - src.rho_sq * squared_correlation(src, rec)
     if arg <= 0.0:
         raise DegenerateDependenceError(
             "label is a deterministic function of the reconstruction"

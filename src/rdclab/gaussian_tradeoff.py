@@ -108,14 +108,17 @@ def c_threshold(src: GaussianPairSource, rate: float) -> float:
     return 0.5 * math.log(arg) + src.h_s
 
 
-def _t_required_by_classification(src: GaussianPairSource, c: float) -> float:
-    """Minimum squared correlation t needed to push h(S|X̂) down to c."""
+def t_required(src: GaussianPairSource, d: float, c: float) -> tuple[float, float]:
+    """(t_d, t_c): the least squared correlation t that the distortion budget d
+    and the classification budget c each demand; d = 0 demands t = 1 and
+    d = +inf (no budget) demands 0."""
+    t_d = max(0.0, 1.0 - d / src.var_x) if d > 0.0 else 1.0
     shortfall = -math.expm1(2.0 * (c - src.h_s))  # 1 - e^{2(C - h(S))}
     if shortfall <= 0.0:
-        return 0.0
+        return t_d, 0.0
     if src.rho_sq == 0.0:
-        return math.inf
-    return shortfall / src.rho_sq
+        return t_d, math.inf
+    return t_d, shortfall / src.rho_sq
 
 
 def _printed_case2(src: GaussianPairSource, c: float) -> float:
@@ -139,8 +142,7 @@ def rdc_rate(src: GaussianPairSource, d: float, c: float) -> FeasibilityVerdict:
     check_not_nan("classification budget c", c)
     if c < c_min(src):
         return FeasibilityVerdict("infeasible", branch="infeasible")
-    t_d = max(0.0, 1.0 - d / src.var_x) if d > 0.0 else 1.0
-    t_c = _t_required_by_classification(src, c)
+    t_d, t_c = t_required(src, d, c)
     t = max(t_d, t_c)
     if t >= 1.0:
         return FeasibilityVerdict("unbounded", branch="unbounded")
@@ -199,7 +201,7 @@ def dcr_distortion_oracle(
     """
     check_nonneg("rate", rate)
     check_not_nan("classification budget c", c)
-    t_min = _t_required_by_classification(src, c)
+    _, t_min = t_required(src, math.inf, c)
     t_cap = t_max(rate)
     if t_min > t_cap:
         return FeasibilityVerdict("infeasible", branch="infeasible")

@@ -11,7 +11,8 @@ Key structural fact (exact, not asymptotic): the classification loss achieved
 by any nonzero linear decode of Z is independent of gamma and equals
 c_threshold(R), because the squared correlation of S with gamma*Z cancels
 gamma.  The single minimum-MSE gain gamma* = Cov(X, Z) therefore dominates
-every pair the rate R can serve, which is what drives the zero rate penalty.
+every pair the rate R can serve, so one encoder serves a whole constraint set
+at its largest per-pair rate: the Gaussian rate penalty is exactly 0.
 
 One published identity is transcribed but not trusted: the gamma solving the
 classification constraint with equality (``gamma_for_classification``).  The
@@ -33,9 +34,7 @@ from .gaussian_model import (
     cond_entropy_s_given_xhat,
     mse_of_reconstruction,
 )
-from .gaussian_tradeoff import ConstraintSet, c_min, c_threshold, rdc_rate, t_max
-
-_BISECTION_TOL = 1e-9  # bracket width at which rate_penalty stops bisecting
+from .gaussian_tradeoff import ConstraintSet, c_min, rdc_rate, t_max, t_required
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,11 @@ def linear_decoder_stats(
     src: GaussianPairSource, rep: GaussianRepresentation, dec: LinearDecoder
 ) -> GaussianReconstruction:
     """Second-order statistics of X̂ = gamma * Z + mu_x; a representation with
-    cov_xz^2 > var_x (no rate gives it) is refused whatever the gain."""
+    cov_xz^2 > var_x (no rate gives it) is refused whatever the gain, and so is
+    a nonzero gain whose square underflows (var_xhat would be inexact)."""
     GaussianReconstruction(0.0, 1.0, rep.cov_xz).validate_against(src)
+    if 0.0 < abs(dec.gamma) < 2.0**-511:  # gamma^2 would be subnormal or 0
+        raise ParameterError(f"gamma = {dec.gamma} is out of range: its square underflows")
     var_xhat = checked_square("gamma", dec.gamma)
     return GaussianReconstruction(src.mu_x, var_xhat, dec.gamma * rep.cov_xz)
 
@@ -130,15 +132,16 @@ def mmse_gain(rep: GaussianRepresentation) -> float:
 
 
 def rate_penalty(src: GaussianPairSource, theta: ConstraintSet) -> float:
-    """Extra rate a single encoder needs beyond the per-pair supremum.
+    """Extra rate one encoder needs beyond the per-pair supremum: R_univ - R_sup.
 
-    R_sup is the supremum of the per-pair optimal rates over the set.  R_univ
-    is found by bisection (to 1e-9) as the smallest rate whose minimum-MSE
-    decoder point (var_x*e^{-2R}, c_threshold(R)) dominates every pair
-    component-wise; gamma-invariance of the loss makes that single decoder
-    test sufficient.  Returns R_univ - R_sup.
+    The minimum-MSE decoder point at rate R, (var_x*e^{-2R}, c_threshold(R)),
+    meets a pair exactly when t_max(R) reaches the pair's max(t_d, t_c) (see
+    ``t_required``), and gamma-invariance of the loss makes it the one decoder
+    to test.  So R_univ = -0.5*ln(1 - max over pairs of max(t_d, t_c)), the
+    largest per-pair rate R_sup: the Gaussian penalty is 0.  Every pair must
+    have a finite optimal rate.
     """
-    rates = []
+    rates, t_univ = [], 0.0
     for d, c in theta.pairs:
         verdict = rdc_rate(src, d, c)
         if verdict.status != "feasible":
@@ -147,22 +150,5 @@ def rate_penalty(src: GaussianPairSource, theta: ConstraintSet) -> float:
                 "penalty needs every pair to have a finite optimal rate"
             )
         rates.append(verdict.value)
-    r_sup = max(rates)
-
-    def dominates(rate: float) -> bool:
-        d_star = src.var_x * math.exp(-2.0 * rate)
-        c_star = c_threshold(src, rate)
-        return all(d_star <= d and c_star <= c for d, c in theta.pairs)
-
-    lo, hi = 0.0, r_sup + 10.0
-    if not dominates(hi):  # pragma: no cover - excluded by the feasibility check
-        raise ParameterError("no finite rate dominates the constraint set")
-    if dominates(lo):
-        return lo - r_sup
-    while hi - lo > _BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if dominates(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi - r_sup
+        t_univ = max(t_univ, *t_required(src, d, c))
+    return -0.5 * math.log1p(-t_univ) - max(rates)

@@ -37,10 +37,10 @@ from rdclab import (
     sandwich_check,
     theorem5_gaussian_harness,
 )
-from rdclab.cli import bundled_source_path, load_discrete_source, main
+from rdclab.cli import bundled_source_path, load_discrete_source, main, read_curve_csv
 from rdclab.discrete_region import DiscreteSource
-from rdclab.errors import check_finite, check_nonneg, check_not_nan
-from rdclab.gaussian_model import mutual_info_x_xhat
+from rdclab.errors import VAR_RANGE, check_finite, check_nonneg, check_not_nan
+from rdclab.gaussian_model import cond_entropy_s_given_xhat, mutual_info_x_xhat
 
 FLIP = load_discrete_source(bundled_source_path())
 HALF = GaussianPairSource(0, 1, 0, 1, 0.5)
@@ -155,10 +155,53 @@ def test_gaussian_scale_range_ends_are_exact(var):
 
 
 def test_mutual_info_denominator_underflow_in_range():
-    # var_x in range, var_xhat so small that var_x * var_xhat underflows
+    # var_x in range, var_xhat so small that var_x * var_xhat underflows; the
+    # squared correlation t is 0.25 all the same, and so is read.
     src = GaussianPairSource(0.0, 1e-60, 0.0, 1.0, 0.0)
-    with pytest.raises(ParameterError, match="out of range|overflows"):
-        mutual_info_x_xhat(src, GaussianReconstruction(0.0, 1e-300, 5e-181))
+    got = mutual_info_x_xhat(src, GaussianReconstruction(0.0, 1e-300, 5e-181))
+    assert got == pytest.approx(-0.5 * math.log1p(-0.25), rel=1e-15)
+    assert got == pytest.approx(0.14384103622589045, rel=1e-15)
+
+
+VARS = st.one_of(st.sampled_from(VAR_RANGE), st.floats(-60.0, 60.0).map(lambda e: 10.0**e))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    VARS, VARS, st.floats(-150.0, 150.0), st.floats(-0.95, 0.95), st.floats(-0.99, 0.99)
+)
+def test_information_quantities_are_scale_free(var_x, var_s, log_var_xhat, rho, r):
+    # I(X; X̂) and h(S|X̂) - h(S) read the scales only through the squared
+    # correlations, so every scale in range gives the unit-scale value.
+    var_x, var_s = (min(max(v, VAR_RANGE[0]), VAR_RANGE[1]) for v in (var_x, var_s))
+    var_xhat = 10.0**log_var_xhat
+    src = GaussianPairSource(0.0, var_x, 0.0, var_s, rho * math.sqrt(var_x) * math.sqrt(var_s))
+    rec = GaussianReconstruction(0.0, var_xhat, r * math.sqrt(var_x) * math.sqrt(var_xhat))
+    unit_src = GaussianPairSource(0.0, 1.0, 0.0, 1.0, rho)
+    unit_rec = GaussianReconstruction(0.0, 1.0, r)
+    i, i1 = mutual_info_x_xhat(src, rec), mutual_info_x_xhat(unit_src, unit_rec)
+    h = cond_entropy_s_given_xhat(src, rec) - 0.5 * math.log(var_s)
+    h1 = cond_entropy_s_given_xhat(unit_src, unit_rec)
+    assert i == pytest.approx(i1, rel=0, abs=1e-12 * max(1.0, abs(i1)))
+    assert h == pytest.approx(h1, rel=0, abs=1e-12 * max(1.0, abs(h1)))
+
+
+def test_tiny_scale_curves_exit_0(tmp_path):
+    # sigma^2 = 1e-60 is in range; every loss is the unit-scale one shifted
+    # by h(S)'s 0.5 * ln(1e-60), and every distortion is scaled by 1e-60.
+    def curves(sigma):
+        out = tmp_path / f"curves_{sigma}.csv"
+        argv = ["--sigma-x", sigma, "--sigma-s", sigma, "--rates", "1e-90", "--points", "3"]
+        assert main(["gauss-curves", *argv, "--out", str(out)]) == 0
+        assert re.search(r"\bnan\b", out.read_text()) is None
+        return read_curve_csv(out)
+
+    tiny, unit = curves("1e-30"), curves("1")
+    assert [r.model for r in tiny] == [r.model for r in unit]
+    shift = 0.5 * math.log(1e-60)
+    for a, b in zip(tiny, unit):
+        assert a.c_nats == pytest.approx(b.c_nats + shift, rel=0, abs=1e-12)
+        assert a.d == pytest.approx(1e-60 * b.d, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("sigma", ["1e160", "1e308", "1e-31"])
@@ -268,9 +311,14 @@ ENTRY = st.one_of(
 BASE_SOURCES = tuple(json.loads(path.read_text()) for path in SOURCE_FILES)
 
 
+# JSON values of the wrong type or shape for an entry, a row, a key or the file.
+WRONG = st.sampled_from(["ab", None, True, 2.5, "2", 5, [], [0.5], [[1.0, 0.0], [0.0]], {"k": 1}])
+
+
 @st.composite
 def discrete_sources(draw):
-    """A committed source with up to three entries replaced or x rescaled."""
+    """A committed source with up to three entries replaced or x rescaled, and
+    sometimes one entry, row, key or the whole file of a wrong type or shape."""
     payload = copy.deepcopy(draw(st.sampled_from(BASE_SOURCES)))
     for _ in range(draw(st.sampled_from([0, 1, 0, 2, 3]))):  # intact sources run to exit 0
         key = draw(st.sampled_from(["x_values", "pmf", "encoder"]))
@@ -281,6 +329,16 @@ def discrete_sources(draw):
     if draw(st.booleans()):  # every x atom at once, so the source stays sorted
         scale = draw(st.sampled_from([1e200, 1e150, 1e-200]))
         payload["x_values"] = [x * scale for x in payload["x_values"]]
+    fault = draw(st.sampled_from([None, None, None, "item", "key", "file"]))
+    if fault == "item":
+        target = payload[draw(st.sampled_from(["x_values", "pmf", "encoder"]))]
+        if draw(st.booleans()) and isinstance(target[0], list):
+            target = target[0]
+        target[draw(st.integers(0, len(target) - 1))] = draw(WRONG)
+    elif fault == "key":
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(WRONG)
+    elif fault == "file":
+        payload = draw(WRONG)
     return payload
 
 
@@ -303,3 +361,30 @@ def test_discrete_region_exit_codes_and_no_nan(payload, levels):
                 assert re.search(r"\bnan\b", path.read_text()) is None
         else:
             assert written == []
+
+
+_FLIP = BASE_SOURCES[0]  # the bundled source
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({**_FLIP, "x_values": "ab"}, id="x_values_string"),
+        pytest.param({**_FLIP, "pmf": "x"}, id="pmf_string"),
+        pytest.param({**_FLIP, "encoder": [[1, 0], [0]]}, id="ragged_encoder"),
+        pytest.param({**_FLIP, "s_size": None}, id="s_size_null"),
+        pytest.param(5, id="top_level_number"),
+        pytest.param(None, id="top_level_null"),
+        pytest.param({**_FLIP, "s_size": "2"}, id="s_size_string"),
+        pytest.param({**_FLIP, "s_size": 2.5}, id="s_size_fraction"),
+    ],
+)
+def test_source_schema_faults_exit_3(payload, tmp_path, capsys):
+    # Each once exited 1 with a traceback or, for the last two, ran on a
+    # silently coerced s_size.
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(payload))
+    argv = ["discrete-region", "--source", str(source), "--levels", "3"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.glob("out*")) == []

@@ -2,8 +2,10 @@
 
 ``rdcbench/run.py`` rejects a run when ``checks.check_task`` flags any task,
 and only some seeds' streams reach a given fault.  This runs the first two
-tasks of every kind for seeds 1-4, through the same JSON round trip as the
-worker, so such a fault fails here first.
+tasks of every kind for seeds 1-4, and every Gaussian closed-form task
+(``rate_penalty`` and ``monte_carlo``) among the first 60 of seeds 1-8,
+through the same JSON round trip as the worker, so such a fault fails here
+first.
 """
 
 import itertools
@@ -29,3 +31,15 @@ def test_first_tasks_pass_the_benchmark_checks(seed, tmp_path):
     for task in itertools.islice(stream, TASKS_PER_SEED):
         out = json.loads(json.dumps(oracle_tasks.run(task)))
         assert checks.check_task(task, out) == [], task
+
+
+CLOSED_FORM_KINDS = ("rate_penalty", "monte_carlo")
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_closed_form_tasks_pass_the_benchmark_checks(seed, tmp_path):
+    stream = workloads.library_oracle_tasks(seed, tmp_path)
+    for task in itertools.islice(stream, 60):
+        if task["kind"] in CLOSED_FORM_KINDS:
+            out = json.loads(json.dumps(oracle_tasks.run(task)))
+            assert checks.check_task(task, out) == [], task

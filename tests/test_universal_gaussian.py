@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdclab import (
     ConstraintSet,
@@ -80,12 +82,19 @@ class TestEncoderForRate:
         d, _ = achieved_point(small, encoder_for_rate(small, 0.1), LinearDecoder(4.35e-7))
         assert d >= 1e-12 * math.exp(-0.2)
 
-    def test_gain_with_subnormal_square_is_legal(self):
-        # gamma^2 rounds as a subnormal; checking the decoded X̂ against
-        # var_x * var_xhat would refuse this valid decoder.
-        src = GaussianPairSource(0.0, 0.7, 0.0, 1.0, 0.1)
-        stats = linear_decoder_stats(src, encoder_for_rate(src, 30.0), LinearDecoder(3e-161))
-        assert stats.var_xhat > 0.0
+    def test_gain_with_underflowing_square_is_refused(self):
+        # var_xhat = gamma^2 rounds to 0 or a subnormal: the decode read as
+        # the constant decoder (C = h(S) for 1e-170) or an I(X; X̂) of inf
+        # and a C off by 1.9e-3 nats (3e-161 at rate 30).
+        src = GaussianPairSource(0.0, 0.7, 0.0, 1.0, 0.5)
+        for rate, gain in [(0.5, 1e-170), (30.0, 3e-161), (0.5, -1.4e-154)]:
+            rep = encoder_for_rate(src, rate)
+            with pytest.raises(ParameterError, match="square underflows"):
+                linear_decoder_stats(src, rep, LinearDecoder(gain))
+            tiny = 2.0**-511  # the least gain whose square is a normal float
+            assert achieved_point(src, rep, LinearDecoder(tiny))[1] == pytest.approx(
+                c_threshold(src, rate), rel=0, abs=1e-12
+            )
 
 
 class TestLinearDecoderStats:
@@ -236,15 +245,53 @@ class TestRegionSweep:
             assert d_star <= d + 1e-12 and c_star <= c + 1e-12
 
 
+def _bisection_r_univ(src, pairs, r_sup, tol=1e-9):
+    """The least rate whose minimum-MSE point dominates every pair, bisected
+    to ``tol`` over the dominance test; the oracle of the closed form."""
+
+    def dominates(rate):
+        d_star = src.var_x * math.exp(-2.0 * rate)
+        c_star = c_threshold(src, rate)
+        return all(d_star <= d and c_star <= c for d, c in pairs)
+
+    lo, hi = 0.0, r_sup + 10.0
+    assert dominates(hi)
+    if dominates(lo):
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if dominates(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# A budget as a fraction of var_x (d) or of [c_min, h(S)] (c); inf is no budget.
+FRACTION = st.one_of(st.floats(0.001, 2.0), st.just(math.inf))
+
+
+@st.composite
+def constraint_sets(draw):
+    """A source and 1-6 feasible pairs, some with an infinite (absent) budget."""
+    sx, ss = draw(st.floats(0.01, 100.0)), draw(st.floats(0.01, 100.0))
+    rho = draw(st.floats(-0.99, 0.99).filter(lambda r: r != 0.0))
+    src = GaussianPairSource(0.0, sx * sx, 0.0, ss * ss, rho * sx * ss)
+    lo, hi = c_min(src), src.h_s
+    fractions = draw(st.lists(st.tuples(FRACTION, FRACTION), min_size=1, max_size=6))
+    pairs = tuple((u * src.var_x, lo + v * (hi - lo) if v < math.inf else v) for u, v in fractions)
+    return src, ConstraintSet(pairs)
+
+
 class TestRatePenalty:
     def test_boundary_point(self):
         d0 = math.exp(-2.0 * 0.25)
         theta = ConstraintSet(((d0, c_threshold(UNIT, 0.25)),))
-        assert rate_penalty(UNIT, theta) <= 1e-9
+        assert rate_penalty(UNIT, theta) == 0.0
 
     def test_trivial_point(self):
         theta = ConstraintSet(((1.0, H_UNIT),))
-        assert abs(rate_penalty(UNIT, theta)) <= 1e-9
+        assert rate_penalty(UNIT, theta) == 0.0
 
     def test_sampled_achievable_set(self):
         rng = np.random.default_rng(31)
@@ -255,7 +302,7 @@ class TestRatePenalty:
             d = rng.uniform(math.exp(-2.0 * rate), 1.5)
             pairs.append((d, c))
         penalty = rate_penalty(UNIT, ConstraintSet(tuple(pairs)))
-        assert penalty <= 1e-9
+        assert penalty == 0.0
 
     def test_infeasible_pair_raises(self):
         theta = ConstraintSet(((0.5, c_min(UNIT) - 0.05),))
@@ -266,3 +313,28 @@ class TestRatePenalty:
         theta = ConstraintSet(((0.0, H_UNIT),))
         with pytest.raises(ParameterError):
             rate_penalty(UNIT, theta)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(constraint_sets())
+    def test_penalty_is_exactly_zero(self, case):
+        src, theta = case
+        assert rate_penalty(src, theta) == 0.0
+
+    def test_closed_form_against_bisection(self):
+        # Constraint sets drawn as the library-oracles benchmark draws them.
+        rng = np.random.default_rng(37)
+        for _ in range(1000):
+            src = random_source(rng)
+            lo, hi = c_min(src), src.h_s
+            pairs = tuple(
+                (src.var_x * rng.uniform(0.2, 1.0), lo + rng.uniform(0.05, 1.0) * (hi - lo))
+                for _ in range(rng.integers(2, 6))
+            )
+            r_sup = max(rdc_rate(src, d, c).value for d, c in pairs)
+            closed = r_sup + rate_penalty(src, ConstraintSet(pairs))
+            assert closed - 1e-12 <= _bisection_r_univ(src, pairs, r_sup) <= closed + 1e-9
+            rep = encoder_for_rate(src, closed)
+            d_star, c_star = achieved_point(src, rep, LinearDecoder(mmse_gain(rep)))
+            for d, c in pairs:
+                assert d_star <= d * (1.0 + 1e-12)
+                assert c_star <= c + 1e-12 * max(1.0, abs(c))
