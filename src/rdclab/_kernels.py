@@ -1,8 +1,10 @@
 """Hot numeric kernels, one numpy implementation each.
 
 Kernels:
-  * grid_rate_scan      - brute-force rate minimisation over a reconstruction
-                          parameter grid (the KKT-free oracle).
+  * grid_rate_scan      - least rate over a reconstruction parameter grid
+                          (the KKT-free oracle): the grid's exact minimum by
+                          per-row boundary search, with the full scan in
+                          ``tests/`` as its oracle.
   * dc_scan             - (distortion, classification-loss) of every decoder
                           on a simplex grid.
   * budget_argmin       - first decoder minimising classification loss within
@@ -17,6 +19,15 @@ knows the decoder order; a block broadcasts the last symbol's row over a run
 of prefixes.  ``dc_scan`` gathers H(S|X̂) terms from a table over the values
 an atom's row entries take, far fewer than the decoders.  Loop forms of the
 grid and decoder scans live in ``tests/test_kernels.py`` as reference oracles.
+
+``grid_rate_scan`` bisects each grid row for its budgets' boundaries instead
+of evaluating every point.  Along a row the covariance theta_k is non-decreasing in k, the MSE is
+non-increasing in theta, and t = theta^2 / (var_x * var_xhat), the
+classification loss (through numpy's log1p, monotone on the grid's arguments)
+and the rate are monotone in |theta|; every step is one IEEE operation, and
+rounding keeps each of these orders.  So each budget holds on a prefix or a
+suffix of each half-row, a bisection finds the boundaries, and the least rate
+is bitwise the full scan's.
 
 The monotone-coupling cost has two forms, one per caller.  ``outer_scan``
 prices a block of decoders with ``_w2_rows``, which runs the scalar loop
@@ -129,25 +140,68 @@ def w2_quantile_pairs(xv, xp, yv, yp):
 def grid_rate_scan(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
     """Lowest rate over the (sigma, theta) grid meeting both budgets.
 
-    Returns (found, rate); the grid holds n_sigma scales up to
-    3 sd(X) and, per scale, n_theta covariances across [-a, a] plus theta = 0.
+    Returns (found, rate); the grid holds n_sigma scales up to 3 sd(X) and,
+    per scale, n_theta covariances theta_k = -a + 2a*k/(n_theta - 1) plus
+    theta = 0.  The result is the grid's exact minimum by per-row boundary
+    search, bitwise the full scan's (kept in ``tests/`` as its oracle).
+
+    On one row each step is a monotone IEEE operation, and numpy's log1p is
+    monotone on the grid's arguments.  theta_k is non-decreasing in k, so
+    mse <= d holds on a suffix.  t = theta^2 / (var_x * vh) is monotone in
+    |theta|: non-increasing for k < n_theta // 2, non-decreasing from there
+    on.  So ce is non-decreasing in k on the lower half and non-increasing on
+    the upper half, except where rho^2 * t > 1 makes it NaN, at the far end
+    of each half; "not ce > c" thus holds on a prefix of the lower half and a
+    suffix of the upper half.  The rate is non-decreasing in t.  The row's
+    least feasible rate is then at one of three points: the lower half's last
+    index with "not ce > c", the upper half's first index with it and
+    mse <= d, or theta = 0.  One bisection over every row and both halves at
+    once finds the two indices; a point is kept if it meets both budgets.
+    (The lower half wins only by rounding: a point's mirror image across
+    theta = 0 has a lower mse and the same t up to an ulp.)
     """
     sx = np.sqrt(var_x)
     sig = 3.0 * sx * (np.arange(n_sigma, dtype=np.float64) + 1.0) / n_sigma
-    vh = (sig * sig)[:, None]
-    a = (sx * sig)[:, None]
-    ks = np.arange(n_theta, dtype=np.float64)[None, :]
-    theta = -a + (2.0 * a) * ks / (n_theta - 1)
-    theta = np.concatenate([theta, np.zeros((n_sigma, 1))], axis=1)
-    mse = var_x + vh - 2.0 * theta
-    t = theta * theta / (var_x * vh)
-    with np.errstate(divide="ignore"):
-        ce = h_s + 0.5 * np.log1p(-rho1_sq * t)
-        rate = np.where(t >= 1.0, np.inf, -0.5 * np.log1p(-np.minimum(t, 1.0)))
-    feasible = (mse <= d_budget) & (ce <= c_budget)
+    # Each row twice: the lower half's search, then the upper half's.
+    vh, a = np.tile(sig * sig, 2), np.tile(sx * sig, 2)
+    z = n_theta // 2
+    upper = np.arange(2 * n_sigma) >= n_sigma
+
+    def point(k):
+        """(mse, t, ce) at per-row index k, on the full scan's expressions."""
+        theta = -a + (2.0 * a) * k.astype(np.float64) / (n_theta - 1)
+        return _grid_point(var_x, vh, h_s, rho1_sq, theta)
+
+    lo = np.where(upper, z, 0)
+    hi = np.where(upper, n_theta, z)
+    for _ in range((n_theta - z).bit_length()):
+        mid = (lo + hi) // 2
+        mse, _, ce = point(mid)
+        above = ce > c_budget
+        ok = np.where(upper, ~above & (mse <= d_budget), above)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, np.minimum(mid + 1, hi))
+    k = np.where(upper, lo, lo - 1)
+    mse, t, ce = point(k)
+    zero = _grid_point(var_x, vh[:n_sigma], h_s, rho1_sq, np.zeros(n_sigma))
+    mse, t, ce = (np.concatenate(pair) for pair in zip((mse, t, ce), zero))
+    in_grid = np.concatenate([(0 <= k) & (k < n_theta), np.ones(n_sigma, dtype=bool)])
+    feasible = in_grid & (mse <= d_budget) & (ce <= c_budget)
     if not feasible.any():
         return False, np.inf
-    return True, float(rate[feasible].min())
+    t = t[feasible]
+    with np.errstate(divide="ignore"):
+        rate = np.where(t >= 1.0, np.inf, -0.5 * np.log1p(-np.minimum(t, 1.0)))
+    return True, float(rate.min())
+
+
+def _grid_point(var_x, vh, h_s, rho1_sq, theta):
+    """(mse, t, ce) of the grid points with variance vh and covariance theta."""
+    mse = var_x + vh - 2.0 * theta
+    t = theta * theta / (var_x * vh)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ce = h_s + 0.5 * np.log1p(-rho1_sq * t)
+    return mse, t, ce
 
 
 # ---------------------------------------------------------------------------

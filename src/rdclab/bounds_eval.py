@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_finite, check_nonneg
-from .gaussian_model import GaussianPairSource, mse_of_reconstruction
+from .errors import ParameterError, check_finite, check_nonneg, checked_square
+from .gaussian_model import GaussianPairSource, GaussianReconstruction, mse_of_reconstruction
 from .gaussian_tradeoff import c_threshold
-from .universal_gaussian import LinearDecoder, encoder_for_rate
-from .universal_gaussian import linear_decoder_stats, mmse_gain
+from .universal_gaussian import encoder_for_rate, mmse_gain
 
 
 @dataclass(frozen=True)
@@ -161,11 +160,13 @@ def theorem5_gaussian_harness(
         r = float(r)
         rep = encoder_for_rate(src, r)
         d1 = d3 = src.var_x * math.exp(-2.0 * r)
-        sigma3 = abs(mmse_gain(rep))  # sigma_x * sqrt(1 - e^{-2R}), var_z = 1
+        gain = mmse_gain(rep)
+        sigma3 = abs(gain)  # sigma_x * sqrt(1 - e^{-2R}), var_z = 1
         c3 = c_threshold(src, r)
-        d_b = mse_of_reconstruction(
-            src, linear_decoder_stats(src, rep, LinearDecoder(mmse_gain(rep)))
-        )
+        # The decode's statistics, formed here: a LinearDecoder refuses a gain
+        # whose square underflows, and D_b needs no more than these numbers.
+        rec = GaussianReconstruction(src.mu_x, checked_square("gamma", gain), gain * rep.cov_xz)
+        d_b = mse_of_reconstruction(src, rec)
         inst = Theorem5Instance(src.var_x, sigma3, d1, d3, d_b)
         gap_lb = gap_lower_bound(inst)
         ratio_lb = ratio_lower_bound(inst)

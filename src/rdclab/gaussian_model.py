@@ -91,10 +91,15 @@ class GaussianReconstruction:
         check_nonneg("var_xhat", self.var_xhat)
 
     def validate_against(self, src: GaussianPairSource) -> None:
-        """Check the correlation bound theta2^2 <= var_x * var_xhat; a theta2
-        whose square overflows is refused."""
-        cov_sq = checked_square("cov_xxhat", self.cov_xxhat)
-        if cov_sq > src.var_x * self.var_xhat * (1.0 + 1e-12):
+        """Check the correlation bound t = theta2^2 / (var_x * var_xhat) <= 1
+        (to 1e-12), with t from ``squared_correlation``, which forms no
+        product of scales; a constant decoder (var_xhat = 0) needs theta2 = 0,
+        and a theta2 whose square overflows is refused."""
+        checked_square("cov_xxhat", self.cov_xxhat)
+        if self.var_xhat == 0.0:
+            if self.cov_xxhat != 0.0:
+                raise ParameterError("a constant reconstruction needs cov_xxhat = 0")
+        elif squared_correlation(src, self) > 1.0 + 1e-12:
             raise ParameterError(
                 "cov_xxhat^2 exceeds var_x * var_xhat: not a valid covariance"
             )

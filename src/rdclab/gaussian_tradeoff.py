@@ -19,8 +19,9 @@ Two D(C, R) evaluators ship side by side:
     correlation than the rate budget allows, so the true problem is
     infeasible).  Nothing is corrected here.
   * ``dcr_distortion_oracle`` solves the problem by the reduction, and
-    ``grid_oracle_rate`` re-checks the rate function by brute force over a
-    reconstruction grid, bypassing any case analysis.
+    ``grid_oracle_rate`` re-checks the rate function with the exact minimum
+    over a reconstruction grid, found by per-row boundary search (the full
+    scan is its oracle in ``tests/``), bypassing any case analysis.
 
 Disagreements between the two are tabulated by the CLI discrepancy report,
 never papered over.
@@ -218,13 +219,14 @@ def grid_oracle_rate(
     n_sigma: int = 400,
     n_theta: int = 400,
 ) -> FeasibilityVerdict:
-    """Brute-force R(D, C) over a reconstruction grid; no case analysis.
+    """R(D, C) as the least rate over a reconstruction grid; no case analysis.
 
-    Sweeps sigma_xhat over (0, 3*sigma_x] and theta2 over
+    The grid holds sigma_xhat over (0, 3*sigma_x] and theta2 over
     [-sigma_x*sigma_xhat, +sigma_x*sigma_xhat] (the zero column is always
-    included so the constant decoder is represented exactly), keeps grid
-    points meeting both budgets, and minimises the mutual information over
-    the survivors.
+    included so the constant decoder is represented exactly).  The result is
+    the least mutual information over the grid points meeting both budgets:
+    the grid's exact minimum by per-row boundary search, with the full scan
+    in ``tests/`` as its oracle.
     """
     if n_sigma < 16 or n_theta < 16:
         raise ParameterError("grid resolution must be at least 16 per axis")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdclab import (
@@ -193,8 +193,12 @@ class TestLimitingRegimes:
 
 def _sweep_d_b(src, rep):
     """Extreme point B by brute force: the least D among 62 swept gains whose
-    loss lies in the sweep's least-loss band."""
-    gammas = np.union1d(np.linspace(0.0, 3.0 * math.sqrt(src.var_x), 61), [mmse_gain(rep)])
+    loss lies in the sweep's least-loss band.
+
+    A gamma* whose square underflows is left out, because a ``LinearDecoder``
+    refuses it; its D rounds to var_x, which the zero gain reaches too."""
+    gains = [g for g in [mmse_gain(rep)] if abs(g) >= 2.0**-511]
+    gammas = np.union1d(np.linspace(0.0, 3.0 * math.sqrt(src.var_x), 61), gains)
     sweep = region_sweep(src, rep, gammas)
     min_c = min(c for _, c in sweep)
     # All nonzero gains share the minimum loss up to last-bit noise; collect
@@ -223,6 +227,7 @@ class TestClosedFormExtremeB:
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(SIGMAS, SIGMAS, RHOS, st.floats(0.0, 60.0))
+    @example(1.0, 1.0, 0.0, 2.225073858507e-311)  # gamma* = 6.7e-156
     def test_within_rounding_of_sweep_at_any_rate(self, sigma_x, sigma_s, rho, rate):
         src = _source(sigma_x, sigma_s, rho)
         d_b = theorem5_gaussian_harness(src, rate=rate)[0].instance.d_b

@@ -256,6 +256,15 @@ class TestBounds:
         assert all(inst["d_b"] >= 0.0 for inst in payload["instances"])
         assert payload["all_sandwich"] and payload["all_gap"] and payload["all_ratio"]
 
+    def test_underflowing_mmse_gain(self, tmp_path):
+        # gamma* = 1.4e-155, whose square is subnormal: a LinearDecoder
+        # refuses it, but D_b needs only the reconstruction's statistics.
+        out = tmp_path / "b.json"
+        assert run(["bounds", "--sigma-x", "1e-30", "--rate", "1e-250", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["instances"][0]["d_b"] == 1e-30 * 1e-30
+        assert payload["all_sandwich"] and payload["all_gap"] and payload["all_ratio"]
+
     def test_rate_and_instances_conflict(self, tmp_path):
         assert run(["bounds", "--rate", "0.3", "--instances", "5",
                     "--out", str(tmp_path / "b.json")]) == 3

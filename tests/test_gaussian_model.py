@@ -222,6 +222,16 @@ class TestTypes:
             rec.validate_against(UNIT)
         GaussianReconstruction(0.0, 0.49, 0.49).validate_against(UNIT)
 
+    def test_validate_against_reads_t_at_any_scale(self):
+        # theta2^2 and var_x * var_xhat both underflow to 0 here, but t = 25.
+        src = GaussianPairSource(0.0, 1e-60, 0.0, 1.0, 0.5e-30)
+        with pytest.raises(ParameterError):
+            GaussianReconstruction(0.0, 1e-300, 5e-180).validate_against(src)
+        GaussianReconstruction(0.0, 1e-300, 5e-181).validate_against(src)  # t = 0.25
+        GaussianReconstruction(0.0, 0.0, 0.0).validate_against(src)
+        with pytest.raises(ParameterError):
+            GaussianReconstruction(0.0, 0.0, 1e-200).validate_against(src)
+
     def test_tradeoff_point_invariants(self):
         TradeoffPoint(rate=math.inf, distortion=0.0, closs=-math.inf)
         with pytest.raises(ParameterError):

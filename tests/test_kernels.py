@@ -4,9 +4,9 @@ Each oracle evaluates one grid point or one decoder at a time with explicit
 Python loops and walks the decoders with its own odometer, so it shares no
 code with ``rdclab._kernels`` beyond the scalar quantile-coupling loop,
 ``_w2_quantile_py``, which the row kernel ``_w2_rows`` must match bit for bit.
-Two more references keep forms that faster ones replaced: the
-per-decoder product form of the entropy kernel and the frontier filter that
-sorts every point.
+Three more references keep forms that faster ones replaced: the full-array
+grid scan, the per-decoder product form of the entropy kernel and the
+frontier filter that sorts every point.
 """
 
 import itertools
@@ -30,8 +30,11 @@ from rdclab.discrete_region import (
     region_and_c_min,
     region_approx,
 )
+from rdclab.errors import VAR_RANGE
 
 GOLDEN = Path(__file__).parent / "golden"
+# |rho| just below 1, where rho^2 * t can round above 1 at the ends of a row.
+NEAR_ONE = (0.9999999999999999, -0.9999999999999999, 1.0 - 1e-9)
 
 
 def _grid_rate_scan_py(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
@@ -62,6 +65,62 @@ def _grid_rate_scan_py(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta
             found = True
             best_rate = min(best_rate, rate)
     return found, best_rate
+
+
+def _grid_arrays(var_x, h_s, rho1_sq, n_sigma, n_theta):
+    """(mse, ce, rate) at every point of the grid, theta = 0 as the last column."""
+    sx = np.sqrt(var_x)
+    sig = 3.0 * sx * (np.arange(n_sigma, dtype=np.float64) + 1.0) / n_sigma
+    vh = (sig * sig)[:, None]
+    a = (sx * sig)[:, None]
+    ks = np.arange(n_theta, dtype=np.float64)[None, :]
+    theta = -a + (2.0 * a) * ks / (n_theta - 1)
+    theta = np.concatenate([theta, np.zeros((n_sigma, 1))], axis=1)
+    mse = var_x + vh - 2.0 * theta
+    t = theta * theta / (var_x * vh)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ce = h_s + 0.5 * np.log1p(-rho1_sq * t)
+        rate = np.where(t >= 1.0, np.inf, -0.5 * np.log1p(-np.minimum(t, 1.0)))
+    return mse, ce, rate
+
+
+def grid_rate_scan_full(var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta):
+    """The grid scan evaluating every point: the least rate of the feasible ones."""
+    mse, ce, rate = _grid_arrays(var_x, h_s, rho1_sq, n_sigma, n_theta)
+    feasible = (mse <= d_budget) & (ce <= c_budget)
+    if not feasible.any():
+        return False, np.inf
+    return True, float(rate[feasible].min())
+
+
+def assert_same_scan(got, ref):
+    """Equal ``found`` and the same rate, bit for bit."""
+    assert got[0] == ref[0]
+    assert np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes(), (got, ref)
+
+
+@st.composite
+def grid_cases(draw):
+    """Kernel arguments over the source scales, with budgets at 0, +-inf, in
+    the band the grid can meet, or exactly at one grid point's mse or ce."""
+    var_x = math.exp(draw(st.floats(math.log(VAR_RANGE[0]), math.log(VAR_RANGE[1]))))
+    rho = draw(st.one_of(st.just(0.0), st.floats(-0.999, 0.999), st.sampled_from(NEAR_ONE)))
+    rho1_sq = rho * rho
+    h_s = draw(st.floats(-70.0, 70.0))
+    n_sigma, n_theta = draw(st.integers(16, 500)), draw(st.integers(16, 499))
+    # "band" twice: a budget inside the band is where a row's boundaries fall.
+    d_budget = draw(st.sampled_from([0.0, math.inf, "band", "band", "point"]))
+    c_budget = draw(st.sampled_from([-math.inf, math.inf, "band", "band", "point"]))
+    if d_budget == "band":
+        d_budget = var_x * draw(st.floats(0.0, 3.0))
+    if c_budget == "band":  # between c_min and h(S): the loss at some t in [0, 1]
+        c_budget = h_s + 0.5 * math.log1p(-rho1_sq * draw(st.floats(0.0, 1.0)))
+    if "point" in (d_budget, c_budget):
+        mse, ce, _ = _grid_arrays(var_x, h_s, rho1_sq, n_sigma, n_theta)
+        i, k = draw(st.integers(0, n_sigma - 1)), draw(st.integers(0, n_theta))
+        d_budget = float(mse[i, k]) if d_budget == "point" else d_budget
+        c_budget = float(ce[i, k]) if c_budget == "point" else c_budget
+    return var_x, h_s, rho1_sq, d_budget, c_budget, n_sigma, n_theta
 
 
 def _entropy_py(rows, joint_zs, idx):
@@ -265,12 +324,33 @@ class TestAgainstLoopOracles:
         got = _kernels.grid_rate_scan(*args)
         ref = _grid_rate_scan_py(*args)
         assert got == ref
+        assert_same_scan(got, grid_rate_scan_full(*args))
 
     def test_grid_scan_infeasible_case(self):
         args = (1.0, 1.4189385332046727, 0.49, 0.5, 1.0, 64, 64)
         got = _kernels.grid_rate_scan(*args)
         ref = _grid_rate_scan_py(*args)
         assert not got[0] and not ref[0]
+        assert_same_scan(got, grid_rate_scan_full(*args))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(grid_cases())
+    @example((1e-60, 1.0, 0.0, 0.0, -math.inf, 16, 16))
+    @example((1e60, -70.0, 0.9999999999999998, math.inf, math.inf, 500, 17))
+    @example((1.0, 1.0, 0.9999999999999998, math.inf, -math.inf, 31, 400))
+    # Only the lower half attains the minimum, by an ulp: c is the loss at
+    # one of its points, whose mirror image across theta = 0 rounds apart.
+    @example((0.3026294093259299, 0.4500712166612475, 0.5399303038346432, math.inf,
+              0.44977116536856765, 24, 61))
+    @example((1.0, -1.440842805829135, 0.7016244912819549, math.inf,
+              -1.4424044074281046, 57, 31))
+    @example((2.0, 1.1376497516315958, 0.2064458500389643, math.inf,
+              1.1371907724785355, 23, 16))
+    def test_grid_scan_matches_full_scan(self, case):
+        # The halves of a row split at n_theta // 2, so check both parities.
+        for n_theta in (case[-1], case[-1] + 1):
+            args = (*case[:-1], n_theta)
+            assert_same_scan(_kernels.grid_rate_scan(*args), grid_rate_scan_full(*args))
 
     def test_dc_scan(self):
         (rows, row_d, b), _ = flip_arrays()
