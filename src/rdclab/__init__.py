@@ -35,7 +35,6 @@ from .discrete_region import (
     w2_squared_quantile,
 )
 from .errors import (
-    DegenerateDependenceError,
     InfeasibleBudgetError,
     ParameterError,
     RdcError,

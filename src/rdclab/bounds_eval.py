@@ -147,10 +147,11 @@ def theorem5_gaussian_harness(
     var_x*e^{-2R}, sigma_xhat3 = sigma_x*sqrt(1-e^{-2R}) from the rate-R
     minimum-MSE decoder, C3 = c_threshold(R), and D_b the MSE at gamma* =
     Cov(X, Z), the least distortion at the least loss, which every nonzero
-    gain reaches.  Rate 0 is flagged degenerate.
+    gain reaches.  Rate 0 is flagged degenerate.  The seed must be >= 0.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
+    check_nonneg("seed", seed)
     if rate is not None:
         check_nonneg("rate", rate)
     rng = np.random.default_rng(seed)

@@ -69,6 +69,13 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_curve_csv(path: str | Path, records: list[CurveRecord]) -> None:
     lines = [CURVE_HEADER]
     for r in records:
@@ -76,7 +83,7 @@ def write_curve_csv(path: str | Path, records: list[CurveRecord]) -> None:
             f"{r.curve_id},{r.model},{_fmt(r.rate_nats)},{_fmt(r.c_nats)},"
             f"{_fmt(r.d)},{r.branch}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_curve_csv(path: str | Path) -> list[CurveRecord]:
@@ -115,7 +122,7 @@ def _json_safe(obj):
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(_json_safe(obj), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(_json_safe(obj), indent=2, sort_keys=True) + "\n")
 
 
 def bundled_source_path(name: str = "flip01_source") -> Path:

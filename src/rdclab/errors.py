@@ -8,6 +8,8 @@ discrete distributions and channels must be finite; the variances of a
 Gaussian source lie in ``VAR_RANGE``; a gain or covariance whose square
 overflows is refused.  The scalar checks use ``math``, not numpy: they run
 in constructors built thousands of times a sweep.
+A Gaussian pair is checked in two places, once each: a source has rho^2 < 1
+(its constructor) and a reconstruction t <= 1 (``squared_correlation``).
 """
 
 import math
@@ -26,15 +28,6 @@ class RdcError(Exception):
 
 class ParameterError(RdcError, ValueError):
     """Inputs violate a documented precondition (domain, shape, range)."""
-
-
-class DegenerateDependenceError(RdcError):
-    """A conditional-entropy argument collapsed to a non-positive value.
-
-    Only reachable when both the source correlation and the reconstruction
-    correlation are simultaneously perfect, i.e. the label is a deterministic
-    function of the reconstruction.
-    """
 
 
 class SizeGuardError(RdcError):

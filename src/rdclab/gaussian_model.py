@@ -8,9 +8,11 @@ Conventions:
   * theta1 = Cov(X, S), theta2 = Cov(X, X̂).
   * theta2 may carry either sign.  Every information quantity depends on
     theta2 only through its square, but the MSE uses the signed value.
+  * A source has rho^2 < 1, and every function of a pair reads the squared
+    correlation t in [0, 1] from ``squared_correlation``, its one check.
   * A constant decoder (var_xhat = 0) is legal: it carries zero rate and
     leaves the label untouched.
-  * A perfectly correlated reconstruction has infinite rate; we return
+  * A perfectly correlated reconstruction (t = 1) has infinite rate; we return
     math.inf rather than raising so curve sweeps stay total.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDependenceError, ParameterError
+from .errors import ParameterError
 from .errors import check_finite, check_nonneg, check_not_nan, check_scale, checked_square
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
@@ -30,9 +32,8 @@ class GaussianPairSource:
     """Jointly Gaussian (X, S) pair: means, variances and Cov(X, S).
 
     Means and Cov(X, S) must be finite and variances in ``VAR_RANGE``;
-    a Cov(X, S) whose square overflows is refused.
-    `allow_degenerate` must be set explicitly to permit |Cov(X,S)| equal to
-    sigma_x * sigma_s (a perfectly correlated pair).
+    a Cov(X, S) whose square overflows is refused, and so is a perfectly
+    correlated pair: Cov(X, S)^2 < var_x * var_s, hence ``rho_sq`` < 1.
     """
 
     mu_x: float
@@ -40,7 +41,6 @@ class GaussianPairSource:
     mu_s: float
     var_s: float
     cov_xs: float
-    allow_degenerate: bool = False
 
     def __post_init__(self) -> None:
         for name in ("mu_x", "mu_s", "cov_xs", "var_x", "var_s"):
@@ -49,21 +49,12 @@ class GaussianPairSource:
         check_scale("var_s", self.var_s)
         bound = self.var_x * self.var_s
         cov_sq = checked_square("cov_xs", self.cov_xs)
-        if cov_sq > bound:
-            raise ParameterError(f"cov_xs^2 = {cov_sq} exceeds var_x*var_s = {bound}")
-        if cov_sq == bound and not self.allow_degenerate:
-            raise ParameterError(
-                "perfectly correlated (X, S) pair; pass allow_degenerate=True"
-            )
-
-    @property
-    def rho(self) -> float:
-        """Correlation coefficient Cov(X,S) / (sigma_s * sigma_x)."""
-        return self.cov_xs / math.sqrt(self.var_x * self.var_s)
+        if cov_sq >= bound:
+            raise ParameterError(f"cov_xs^2 = {cov_sq} is not below var_x*var_s = {bound}")
 
     @property
     def rho_sq(self) -> float:
-        """Squared correlation Cov(X,S)^2 / (var_x * var_s)."""
+        """Squared correlation Cov(X,S)^2 / (var_x * var_s); at most 1 - 2^-53."""
         return self.cov_xs**2 / (self.var_x * self.var_s)
 
     @property
@@ -89,20 +80,6 @@ class GaussianReconstruction:
         for name in ("mu_xhat", "var_xhat", "cov_xxhat"):
             check_finite(name, getattr(self, name))
         check_nonneg("var_xhat", self.var_xhat)
-
-    def validate_against(self, src: GaussianPairSource) -> None:
-        """Check the correlation bound t = theta2^2 / (var_x * var_xhat) <= 1
-        (to 1e-12), with t from ``squared_correlation``, which forms no
-        product of scales; a constant decoder (var_xhat = 0) needs theta2 = 0,
-        and a theta2 whose square overflows is refused."""
-        checked_square("cov_xxhat", self.cov_xxhat)
-        if self.var_xhat == 0.0:
-            if self.cov_xxhat != 0.0:
-                raise ParameterError("a constant reconstruction needs cov_xxhat = 0")
-        elif squared_correlation(src, self) > 1.0 + 1e-12:
-            raise ParameterError(
-                "cov_xxhat^2 exceeds var_x * var_xhat: not a valid covariance"
-            )
 
 
 @dataclass(frozen=True)
@@ -132,22 +109,28 @@ def differential_entropy(var: float) -> float:
 
 
 def squared_correlation(src: GaussianPairSource, rec: GaussianReconstruction) -> float:
-    """t = theta2^2 / (var_x * var_xhat) as two ratios: no product of scales."""
-    return (rec.cov_xxhat / src.var_x) * (rec.cov_xxhat / rec.var_xhat)
+    """t = theta2^2 / (var_x * var_xhat) as two ratios (no product of scales), in
+    [0, 1]: a constant reconstruction needs theta2 = 0, a theta2 whose square
+    overflows or a t > 1 + 1e-12 is refused, and a t in (1, 1 + 1e-12] is 1."""
+    checked_square("cov_xxhat", rec.cov_xxhat)
+    if rec.var_xhat == 0.0:
+        if rec.cov_xxhat != 0.0:
+            raise ParameterError("a constant reconstruction needs cov_xxhat = 0")
+        return 0.0
+    t = (rec.cov_xxhat / src.var_x) * (rec.cov_xxhat / rec.var_xhat)
+    if t > 1.0 + 1e-12:
+        raise ParameterError(f"t = {t} > 1: cov_xxhat is not a valid covariance")
+    return min(t, 1.0)
 
 
 def mutual_info_x_xhat(src: GaussianPairSource, rec: GaussianReconstruction) -> float:
     """I(X; X̂) = -0.5 * ln(1 - t), t = theta2^2 / (var_x * var_xhat).
 
-    Returns 0 for an uninformative reconstruction (theta2 = 0 or a constant
-    decoder) and +inf for a perfectly correlated one.
+    0 for an uninformative reconstruction (t = 0) and +inf for a perfectly
+    correlated one (t = 1).
     """
-    if rec.var_xhat == 0.0 or rec.cov_xxhat == 0.0:
-        return 0.0
     t = squared_correlation(src, rec)
-    if t >= 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-t)
+    return math.inf if t == 1.0 else -0.5 * math.log1p(-t)
 
 
 def cond_entropy_s_given_xhat(
@@ -157,17 +140,9 @@ def cond_entropy_s_given_xhat(
 
     Uses the Markov chain S - X - X̂, under which
     Cov(S, X̂) = theta1 * theta2 / var_x, so the squared correlation of S and
-    X̂ is rho^2 * t.
+    X̂ is rho^2 * t.  Finite: rho^2 < 1 and t <= 1 keep the log's argument >= 2^-53.
     """
-    h_s = src.h_s
-    if rec.var_xhat == 0.0 or rec.cov_xxhat == 0.0:
-        return h_s
-    arg = 1.0 - src.rho_sq * squared_correlation(src, rec)
-    if arg <= 0.0:
-        raise DegenerateDependenceError(
-            "label is a deterministic function of the reconstruction"
-        )
-    return h_s + 0.5 * math.log(arg)
+    return src.h_s + 0.5 * math.log(1.0 - src.rho_sq * squared_correlation(src, rec))
 
 
 def mse_of_reconstruction(
@@ -175,6 +150,7 @@ def mse_of_reconstruction(
 ) -> float:
     """E[(X - X̂)^2] = (mu_x - mu_xhat)^2 + var_x + var_xhat - 2*theta2, clamped
     at 0: as X̂ -> X the sum cancels, and its rounding (ulps of var_x) can be < 0."""
+    squared_correlation(src, rec)
     d = (src.mu_x - rec.mu_xhat) ** 2 + src.var_x + rec.var_xhat - 2.0 * rec.cov_xxhat
     return max(d, 0.0)
 

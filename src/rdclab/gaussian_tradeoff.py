@@ -82,17 +82,16 @@ def t_max(rate: float) -> float:
 def c_min(src: GaussianPairSource) -> float:
     """Smallest achievable classification loss: 0.5*ln(1 - rho^2) + h(S).
 
-    Returns -inf for a (flagged) perfectly correlated pair; equals h(S) when
-    the label is independent of the source.
+    Finite, since every source has rho^2 < 1; equals h(S) when the label is
+    independent of the source.
     """
     return src.h_s - max_useful_rate(src)
 
 
 def max_useful_rate(src: GaussianPairSource) -> float:
     """I(X; S) = -0.5*ln(1 - rho^2): the rate beyond which no further
-    classification information about S exists in any reconstruction."""
-    if src.rho_sq >= 1.0:
-        return math.inf
+    classification information about S exists in any reconstruction.
+    Finite, since every source has rho^2 < 1."""
     return -0.5 * math.log1p(-src.rho_sq)
 
 
@@ -100,13 +99,10 @@ def c_threshold(src: GaussianPairSource, rate: float) -> float:
     """Smallest classification loss reachable at a given rate budget.
 
     0.5*ln(1 - rho^2*(1 - e^{-2R})) + h(S); equals h(S) at R = 0 and falls
-    monotonically to c_min as R grows.
+    monotonically to c_min as R grows; finite at every rate, as rho^2 < 1.
     """
     check_nonneg("rate", rate)
-    arg = 1.0 - src.rho_sq * t_max(rate)
-    if arg <= 0.0:
-        return -math.inf
-    return 0.5 * math.log(arg) + src.h_s
+    return 0.5 * math.log(1.0 - src.rho_sq * t_max(rate)) + src.h_s
 
 
 def t_required(src: GaussianPairSource, d: float, c: float) -> tuple[float, float]:
@@ -256,7 +252,7 @@ def boundary_curve(
         return []  # no boundary below the trivial point at zero rate
     lo = c_min(src)
     hi = c_threshold(src, rate)
-    if not (hi > lo) or math.isinf(lo):
+    if not hi > lo:
         return []
     points = []
     for i in range(n_points):

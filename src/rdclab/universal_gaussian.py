@@ -33,6 +33,7 @@ from .gaussian_model import (
     GaussianReconstruction,
     cond_entropy_s_given_xhat,
     mse_of_reconstruction,
+    squared_correlation,
 )
 from .gaussian_tradeoff import ConstraintSet, c_min, rdc_rate, t_max, t_required
 
@@ -71,7 +72,7 @@ def linear_decoder_stats(
     """Second-order statistics of X̂ = gamma * Z + mu_x; a representation with
     cov_xz^2 > var_x (no rate gives it) is refused whatever the gain, and so is
     a nonzero gain whose square underflows (var_xhat would be inexact)."""
-    GaussianReconstruction(0.0, 1.0, rep.cov_xz).validate_against(src)
+    squared_correlation(src, GaussianReconstruction(0.0, 1.0, rep.cov_xz))
     if 0.0 < abs(dec.gamma) < 2.0**-511:  # gamma^2 would be subnormal or 0
         raise ParameterError(f"gamma = {dec.gamma} is out of range: its square underflows")
     var_xhat = checked_square("gamma", dec.gamma)

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, checked_square
+from .errors import ParameterError
 from .gaussian_model import (
     GaussianPairSource,
     GaussianReconstruction,
     differential_entropy,
+    squared_correlation,
 )
 
 
@@ -55,16 +56,15 @@ def sample_joint(
     n: int,
     seed: int,
 ) -> SampleBatch:
-    """Draw n samples of (X, S, X̂); a cov_xxhat whose square overflows is refused."""
+    """Draw n samples of (X, S, X̂); the target is checked by ``squared_correlation``."""
     if n < 1:
         raise ParameterError("n must be >= 1")
     if not isinstance(target, GaussianReconstruction):
         raise ParameterError(f"unsupported target type {type(target)!r}")
+    squared_correlation(src, target)
     mu_w, var_w, cov_xw = target.mu_xhat, target.var_xhat, target.cov_xxhat
     resid_s = src.var_s - src.cov_xs**2 / src.var_x
-    resid_w = var_w - checked_square("cov_xxhat", cov_xw) / src.var_x
-    if resid_s < -1e-12 * max(src.var_s, 1.0) or resid_w < -1e-12 * max(var_w, 1.0):
-        raise ParameterError("covariance structure is not positive semidefinite")
+    resid_w = var_w - cov_xw**2 / src.var_x
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.standard_normal((3, n))
     x = src.mu_x + math.sqrt(src.var_x) * u[0]

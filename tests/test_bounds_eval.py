@@ -143,6 +143,10 @@ class TestHarness:
         b = theorem5_gaussian_harness(UNIT, seed=9, n=20)
         assert [r.instance for r in a] == [r.instance for r in b]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            theorem5_gaussian_harness(UNIT, seed=-1, n=2)
+
 
 class TestLimitingRegimes:
     """Behaviour of the bounds as D1 approaches its endpoints with the

@@ -291,3 +291,19 @@ class TestMisc:
         argv = [str(bundled_source_path()) if a == "flip01" else a for a in argv]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 3
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauss-curves", "--points", "3"],
+            ["discrepancy-report", "--grid-c", "4", "--grid-r", "4"],
+            ["discrete-region", "--source", "flip01", "--levels", "3"],
+            ["bounds", "--instances", "2"],
+        ],
+    )
+    def test_unwritable_out_exits_3(self, argv, tmp_path, capsys):
+        # A missing output directory once exited 1 with a FileNotFoundError traceback.
+        argv = [str(bundled_source_path()) if a == "flip01" else a for a in argv]
+        assert run([*argv, "--out", str(tmp_path / "missing" / "x")]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert list(tmp_path.iterdir()) == []

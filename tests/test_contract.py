@@ -40,7 +40,11 @@ from rdclab import (
 from rdclab.cli import bundled_source_path, load_discrete_source, main, read_curve_csv
 from rdclab.discrete_region import DiscreteSource
 from rdclab.errors import VAR_RANGE, check_finite, check_nonneg, check_not_nan
-from rdclab.gaussian_model import cond_entropy_s_given_xhat, mutual_info_x_xhat
+from rdclab.gaussian_model import (
+    cond_entropy_s_given_xhat,
+    mutual_info_x_xhat,
+    squared_correlation,
+)
 
 FLIP = load_discrete_source(bundled_source_path())
 HALF = GaussianPairSource(0, 1, 0, 1, 0.5)
@@ -107,7 +111,7 @@ def test_nan_is_refused(call):
             id="gamma_squared",
         ),
         pytest.param(
-            lambda: GaussianReconstruction(0, 1e300, 1e300).validate_against(HALF),
+            lambda: squared_correlation(HALF, GaussianReconstruction(0, 1e300, 1e300)),
             id="cov_xxhat_squared",
         ),
         pytest.param(
@@ -242,6 +246,7 @@ NUMBER = st.one_of(
     st.sampled_from(["0", "-2", "inf", "-inf", "nan", "1e308", "-1e308", "1e150", "1e-160"]),
 )
 SMALL_INT = st.integers(-1, 5)
+SEED = st.one_of(st.integers(0, 3), st.integers(max_value=-1), st.integers(min_value=2**64 + 1))
 
 
 @st.composite
@@ -260,16 +265,19 @@ def gaussian_argv(draw):
     else:
         if draw(st.booleans()):
             argv.append(f"--rate={draw(NUMBER)}")
-        argv += [f"--instances={draw(SMALL_INT)}", f"--seed={draw(st.integers(0, 3))}"]
-    return argv
+        argv += [f"--instances={draw(SMALL_INT)}", f"--seed={draw(SEED)}"]
+    # A relative --out, sometimes under a directory that does not exist.
+    return [*argv, "--out", draw(st.sampled_from(["out", "out", "missing/out"]))]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(gaussian_argv())
+@example(["bounds", "--seed=-1", "--out", "out"])
+@example(["gauss-curves", "--points=3", "--out", "missing/out"])
 def test_cli_exit_codes_and_no_nan(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        code = main([*argv, "--out", str(out)])
+        out = Path(tmp) / argv[-1]
+        code = main([*argv[:-1], str(out)])
         assert code in (0, 2, 3)
         if code == 0:
             assert re.search(r"\bnan\b", out.read_text()) is None

@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdclab import (
-    DegenerateDependenceError,
     GaussianPairSource,
     GaussianReconstruction,
     ParameterError,
@@ -23,6 +24,8 @@ from rdclab import (
 )
 from rdclab._kernels import w2_quantile_pairs
 from rdclab.discrete_region import discretize_gaussian
+from rdclab.gaussian_model import squared_correlation
+from rdclab.gaussian_tradeoff import c_min, c_threshold
 
 H_UNIT = 1.4189385332046727  # 0.5*ln(2*pi*e)
 UNIT = GaussianPairSource(0.0, 1.0, 0.0, 1.0, 0.7)
@@ -137,12 +140,6 @@ class TestCondEntropy:
             )
             assert at_max == pytest.approx(floor, abs=1e-10)
 
-    def test_degenerate_dependence_raises(self):
-        src = GaussianPairSource(0.0, 1.0, 0.0, 1.0, 1.0, allow_degenerate=True)
-        rec = GaussianReconstruction(0.0, 1.0, 1.0)
-        with pytest.raises(DegenerateDependenceError):
-            cond_entropy_s_given_xhat(src, rec)
-
 
 class TestMse:
     def test_identity_reconstruction(self):
@@ -211,26 +208,40 @@ class TestTypes:
             GaussianPairSource(0.0, 1.0, 0.0, 1.0, 1.5)
         with pytest.raises(ParameterError):
             GaussianPairSource(0.0, 1.0, 0.0, 1.0, 1.0)
-        src = GaussianPairSource(0.0, 1.0, 0.0, 1.0, 1.0, allow_degenerate=True)
-        assert src.rho == pytest.approx(1.0)
+        with pytest.raises(ParameterError):
+            GaussianPairSource(0.0, 4.0, 0.0, 9.0, -6.0)
 
     def test_reconstruction_invariants(self):
         with pytest.raises(ParameterError):
             GaussianReconstruction(0.0, -0.1, 0.0)
         rec = GaussianReconstruction(0.0, 0.25, 0.7)
         with pytest.raises(ParameterError):
-            rec.validate_against(UNIT)
-        GaussianReconstruction(0.0, 0.49, 0.49).validate_against(UNIT)
+            squared_correlation(UNIT, rec)
+        assert squared_correlation(UNIT, GaussianReconstruction(0.0, 0.49, 0.49)) == 0.49
 
-    def test_validate_against_reads_t_at_any_scale(self):
+    def test_squared_correlation_reads_t_at_any_scale(self):
         # theta2^2 and var_x * var_xhat both underflow to 0 here, but t = 25.
         src = GaussianPairSource(0.0, 1e-60, 0.0, 1.0, 0.5e-30)
         with pytest.raises(ParameterError):
-            GaussianReconstruction(0.0, 1e-300, 5e-180).validate_against(src)
-        GaussianReconstruction(0.0, 1e-300, 5e-181).validate_against(src)  # t = 0.25
-        GaussianReconstruction(0.0, 0.0, 0.0).validate_against(src)
+            squared_correlation(src, GaussianReconstruction(0.0, 1e-300, 5e-180))
+        t = squared_correlation(src, GaussianReconstruction(0.0, 1e-300, 5e-181))
+        assert t == pytest.approx(0.25, rel=1e-15)
+        assert squared_correlation(src, GaussianReconstruction(0.0, 0.0, 0.0)) == 0.0
         with pytest.raises(ParameterError):
-            GaussianReconstruction(0.0, 0.0, 1e-200).validate_against(src)
+            squared_correlation(src, GaussianReconstruction(0.0, 0.0, 1e-200))
+
+    def test_squared_correlation_rounds_to_one_within_tolerance(self):
+        assert squared_correlation(UNIT, GaussianReconstruction(0.0, 1.0, 1.0 + 1e-13)) == 1.0
+        with pytest.raises(ParameterError):
+            squared_correlation(UNIT, GaussianReconstruction(0.0, 1.0, 1.0 + 1e-11))
+
+    @pytest.mark.parametrize(
+        "func", [mse_of_reconstruction, mutual_info_x_xhat, cond_entropy_s_given_xhat]
+    )
+    def test_functions_of_a_pair_refuse_t_above_one(self, func):
+        # t = 1.2^2 = 1.44: these once returned 0.0, inf and 1.1958.
+        with pytest.raises(ParameterError, match="not a valid covariance"):
+            func(GaussianPairSource(0.0, 1.0, 0.0, 1.0, 0.5), GaussianReconstruction(0.0, 1.0, 1.2))
 
     def test_tradeoff_point_invariants(self):
         TradeoffPoint(rate=math.inf, distortion=0.0, closs=-math.inf)
@@ -238,3 +249,21 @@ class TestTypes:
             TradeoffPoint(rate=-0.1, distortion=0.0, closs=0.0)
         with pytest.raises(ParameterError):
             TradeoffPoint(rate=0.0, distortion=-0.1, closs=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0), st.booleans())
+def test_source_one_ulp_below_perfect_correlation(log_var_x, log_var_s, negative):
+    # Every accepted source has rho^2 < 1, so c_min, the loss at unbounded
+    # rate and h(S|X̂) at t = 1 are finite.
+    var_x, var_s = 10.0**log_var_x, 10.0**log_var_s
+    cov = math.nextafter(math.sqrt(var_x * var_s), 0.0)
+    try:
+        src = GaussianPairSource(0.0, var_x, 0.0, var_s, -cov if negative else cov)
+    except ParameterError:
+        return  # the rounded square reached var_x * var_s
+    assert src.rho_sq < 1.0
+    perfect = GaussianReconstruction(0.0, var_x, var_x)
+    assert squared_correlation(src, perfect) == 1.0
+    for value in (c_min(src), c_threshold(src, math.inf), cond_entropy_s_given_xhat(src, perfect)):
+        assert math.isfinite(value)

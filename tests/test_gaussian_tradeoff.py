@@ -54,10 +54,6 @@ class TestCMin:
         src = GaussianPairSource(0.0, 1.0, 0.0, 4.0, 0.0)
         assert c_min(src) == pytest.approx(2.112085713764618, abs=1e-12)
 
-    def test_degenerate_pair(self):
-        src = GaussianPairSource(0.0, 1.0, 0.0, 1.0, 1.0, allow_degenerate=True)
-        assert c_min(src) == -math.inf
-
     def test_grid_rejects_everything_below(self):
         # Exhaustive-grid infeasibility just under the floor.
         v = grid_oracle_rate(UNIT, 10.0, c_min(UNIT) - 1e-6, 64, 64)

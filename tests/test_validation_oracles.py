@@ -73,6 +73,13 @@ class TestSampleJoint:
         with pytest.raises(ParameterError):
             sample_joint(UNIT, bad, 100, seed=0)
 
+    def test_invalid_covariance_rejected_at_tiny_scale(self):
+        # cov_xxhat^2 underflows to 0 here, but t = 25; this once drew samples.
+        src = GaussianPairSource(0.0, 1e-60, 0.0, 1.0, 0.5e-30)
+        bad = GaussianReconstruction(0.0, 1e-300, 5e-180)
+        with pytest.raises(ParameterError, match="not a valid covariance"):
+            sample_joint(src, bad, 100, seed=0)
+
 
 class TestPluginEstimates:
     def test_identity_reconstruction_degenerate(self):
