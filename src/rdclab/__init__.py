@@ -4,36 +4,17 @@ Scalar-Gaussian closed forms, a universal fixed-encoder construction, exact
 finite-alphabet region machinery, quantitative corner bounds, and Monte Carlo
 plus brute-force oracles for all of it.  All rates and entropies are in nats;
 distortion is mean squared error.
+
+``import rdclab`` loads no numpy: ``errors`` and the Gaussian modules need
+only ``math``.  numpy loads on first use of ``discrete_region``,
+``validation_oracles``, ``_kernels`` (``grid_oracle_rate`` calls it) or the
+``bounds_eval`` harness, whose names the package serves on first access;
+scipy on the first call of ``w2_squared_lp`` or ``discretize_gaussian``.
 """
 
-from .bounds_eval import (
-    HarnessRecord,
-    Theorem5Instance,
-    gap_lower_bound,
-    ratio_lower_bound,
-    sandwich_check,
-    theorem5_gaussian_harness,
-    upper_left_bounds,
-)
-from .discrete_region import (
-    Channel,
-    CMinSolution,
-    DiscreteDistribution,
-    DiscreteSource,
-    MMSEReduction,
-    OuterBoundReport,
-    c_min_solver,
-    cond_entropy_discrete,
-    discretize_gaussian,
-    extreme_point_a,
-    extreme_point_b,
-    mmse_reduction,
-    mutual_info_xz,
-    outer_bound_check,
-    region_approx,
-    w2_squared_lp,
-    w2_squared_quantile,
-)
+import importlib
+import types
+
 from .errors import (
     InfeasibleBudgetError,
     ParameterError,
@@ -73,6 +54,54 @@ from .universal_gaussian import (
     rate_penalty,
     region_sweep,
 )
-from .validation_oracles import SampleBatch, plugin_estimates, sample_joint
 
+# Served on first access (PEP 562), each name from the module that defines it:
+# the modules that use numpy (bounds_eval in its Gaussian harness only).
+_LAZY = {
+    "HarnessRecord": "bounds_eval",
+    "Theorem5Instance": "bounds_eval",
+    "gap_lower_bound": "bounds_eval",
+    "ratio_lower_bound": "bounds_eval",
+    "sandwich_check": "bounds_eval",
+    "theorem5_gaussian_harness": "bounds_eval",
+    "upper_left_bounds": "bounds_eval",
+    "Channel": "discrete_region",
+    "CMinSolution": "discrete_region",
+    "DiscreteDistribution": "discrete_region",
+    "DiscreteSource": "discrete_region",
+    "MMSEReduction": "discrete_region",
+    "OuterBoundReport": "discrete_region",
+    "c_min_solver": "discrete_region",
+    "cond_entropy_discrete": "discrete_region",
+    "discretize_gaussian": "discrete_region",
+    "extreme_point_a": "discrete_region",
+    "extreme_point_b": "discrete_region",
+    "mmse_reduction": "discrete_region",
+    "mutual_info_xz": "discrete_region",
+    "outer_bound_check": "discrete_region",
+    "region_approx": "discrete_region",
+    "w2_squared_lp": "discrete_region",
+    "w2_squared_quantile": "discrete_region",
+    "SampleBatch": "validation_oracles",
+    "plugin_estimates": "validation_oracles",
+    "sample_joint": "validation_oracles",
+}
+_SUBMODULES = ("_kernels", "bounds_eval", "discrete_region", "validation_oracles")
+
+__all__ = sorted(
+    [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, types.ModuleType)]
+    + list(_LAZY)
+)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))

@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError, check_finite, check_nonneg, checked_square
 from .gaussian_model import GaussianPairSource, GaussianReconstruction, mse_of_reconstruction
 from .gaussian_tradeoff import c_threshold
@@ -154,6 +152,8 @@ def theorem5_gaussian_harness(
     check_nonneg("seed", seed)
     if rate is not None:
         check_nonneg("rate", rate)
+    import numpy as np  # the harness's PCG64 draws; the bounds themselves are math
+
     rng = np.random.default_rng(seed)
     rates = np.full(n, float(rate)) if rate is not None else rng.uniform(0.01, 2.5, n)
     records = []

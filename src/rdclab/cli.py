@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import bounds_eval, discrete_region, gaussian_tradeoff, universal_gaussian
+from . import gaussian_tradeoff, universal_gaussian
 from .errors import InfeasibleBudgetError, ParameterError, RdcError, SizeGuardError, check_scale
 from .gaussian_model import GaussianPairSource
 
@@ -100,24 +98,19 @@ def read_curve_csv(path: str | Path) -> list[CurveRecord]:
 
 
 def _json_safe(obj):
-    """Replace non-finite floats with their string literals for strict JSON."""
+    """Replace non-finite floats with their string literals for strict JSON;
+    numpy scalars and arrays become Python values through ``tolist()``."""
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
+    if hasattr(obj, "tolist"):
+        return _json_safe(obj.tolist())
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
             return "nan"
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
     return obj
 
 
@@ -130,9 +123,10 @@ def bundled_source_path(name: str = "flip01_source") -> Path:
     return Path(resources.files("rdclab").joinpath(f"data/{name}.json"))
 
 
-def _number_array(payload: dict, key: str, rank: int) -> np.ndarray:
+def _number_array(payload: dict, key: str, rank: int):
     """payload[key] as a float64 array: lists nested ``rank`` deep around JSON
     numbers (a boolean is not one), rectangular and within float range."""
+    import numpy as np
 
     def numbers(value, depth: int) -> bool:
         if depth == 0:
@@ -163,6 +157,8 @@ def load_discrete_source(path: str | Path):
     missing = required - set(payload)
     if missing:
         raise ParameterError(f"source file missing keys: {sorted(missing)}")
+    from . import discrete_region
+
     src = discrete_region.DiscreteSource(
         x_values=_number_array(payload, "x_values", 1),
         s_size=payload["s_size"],
@@ -172,6 +168,15 @@ def load_discrete_source(path: str | Path):
     if encoder.n_in != src.x_values.size:
         raise ParameterError("encoder row count must match x_values length")
     return src, encoder
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` bit for bit, for num >= 2."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    if step == 0.0:  # numpy's order when the step underflows (a subnormal delta)
+        return [start + (k / div) * delta for k in range(div)] + [stop]
+    return [start + k * step for k in range(div)] + [stop]
 
 
 def _gaussian_source(args) -> GaussianPairSource:
@@ -210,21 +215,19 @@ def cmd_gauss_curves(args) -> int:
             )
     for rate in rates:
         thr = gaussian_tradeoff.c_threshold(src, rate)
-        cs = np.unique(np.linspace(thr, src.h_s, args.points))
-        for c in cs:
-            verdict = gaussian_tradeoff.dcr_distortion_oracle(src, float(c), rate)
+        for c in sorted(set(_linspace(thr, src.h_s, args.points))):
+            verdict = gaussian_tradeoff.dcr_distortion_oracle(src, c, rate)
             records.append(
                 CurveRecord(
-                    f"oracle_R{rate:g}", "oracle", rate, float(c),
+                    f"oracle_R{rate:g}", "oracle", rate, c,
                     verdict.value if verdict.status == "feasible" else math.inf,
                     verdict.branch,
                 )
             )
     r_star = max(rates)
     rep = universal_gaussian.encoder_for_rate(src, r_star)
-    gammas = np.union1d(
-        np.linspace(0.0, 2.5 * args.sigma_x, args.points),
-        [universal_gaussian.mmse_gain(rep)],
+    gammas = sorted(
+        {*_linspace(0.0, 2.5 * args.sigma_x, args.points), universal_gaussian.mmse_gain(rep)}
     )
     for d, c in universal_gaussian.region_sweep(src, rep, gammas):
         records.append(
@@ -245,14 +248,14 @@ def cmd_discrepancy_report(args) -> int:
         raise ParameterError("--grid-c and --grid-r must be >= 2")
     cmin = gaussian_tradeoff.c_min(src)
     span = max(src.h_s - cmin, 0.25)
-    c_grid = np.linspace(cmin - 0.1 * span, src.h_s + 0.1 * span, args.grid_c)
-    r_grid = np.linspace(0.02, 0.5, args.grid_r)
+    c_grid = _linspace(cmin - 0.1 * span, src.h_s + 0.1 * span, args.grid_c)
+    r_grid = _linspace(0.02, 0.5, args.grid_r)
     cells = []
     summary: dict[str, dict[str, int]] = {}
     for r in r_grid:
         for c in c_grid:
-            printed = gaussian_tradeoff.dcr_distortion_printed(src, float(c), float(r))
-            oracle = gaussian_tradeoff.dcr_distortion_oracle(src, float(c), float(r))
+            printed = gaussian_tradeoff.dcr_distortion_printed(src, c, r)
+            oracle = gaussian_tradeoff.dcr_distortion_oracle(src, c, r)
             if printed.status == "feasible" and oracle.status == "feasible":
                 agree = abs(printed.value - oracle.value) <= 1e-9
             else:
@@ -263,8 +266,8 @@ def cmd_discrepancy_report(args) -> int:
             bucket["agree"] += int(agree)
             cells.append(
                 {
-                    "c": float(c),
-                    "r": float(r),
+                    "c": c,
+                    "r": r,
                     "printed": printed.value
                     if printed.status == "feasible"
                     else printed.status,
@@ -289,6 +292,8 @@ def cmd_discrepancy_report(args) -> int:
 
 
 def cmd_discrete_region(args) -> int:
+    from . import discrete_region
+
     src, encoder = load_discrete_source(args.source)
     levels = args.levels
     d_budget = args.d_budget if args.d_budget is not None else src.var_x()
@@ -344,6 +349,8 @@ def cmd_discrete_region(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds_eval
+
     src = _gaussian_source(args)
     if args.rate is not None and args.instances != 1:
         raise ParameterError("use either --rate or --instances, not both")

@@ -38,8 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import InfeasibleBudgetError, ParameterError, SizeGuardError
-from .errors import check_finite_array, check_not_nan
+from .errors import InfeasibleBudgetError, ParameterError, SizeGuardError, check_not_nan
 
 _STOCHASTIC_TOL = 1e-12
 _MAX_LP_SUPPORT = 64
@@ -47,6 +46,12 @@ _MAX_ALPHABET = 6
 _MAX_LEVELS = 12
 _MAX_DECODER_COMBOS = 2_000_000
 _PARETO_BUCKETS = 1024  # D buckets of the frontier's sort-free prefilter
+
+
+def check_finite_array(name: str, arr: np.ndarray) -> None:
+    """Refuse NaN and infinite entries, which every ``<``/``>`` check lets through."""
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

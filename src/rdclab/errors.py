@@ -6,15 +6,14 @@ budget); a classification budget c may be +inf (no budget) or -inf (one
 nothing meets); means, variances, covariances, gains and the entries of
 discrete distributions and channels must be finite; the variances of a
 Gaussian source lie in ``VAR_RANGE``; a gain or covariance whose square
-overflows is refused.  The scalar checks use ``math``, not numpy: they run
-in constructors built thousands of times a sweep.
+overflows is refused.  The checks here use ``math`` only: they run in
+constructors built thousands of times a sweep.  The entries of discrete
+distributions and channels are checked in ``discrete_region``.
 A Gaussian pair is checked in two places, once each: a source has rho^2 < 1
 (its constructor) and a reconstruction t <= 1 (``squared_correlation``).
 """
 
 import math
-
-import numpy as np
 
 
 # var_x * var_s (in rho^2) stays a normal float; var_xhat is not bounded, so it
@@ -70,9 +69,3 @@ def checked_square(name: str, value: float) -> float:
         return value**2
     except OverflowError:
         raise ParameterError(f"{name} = {value} is out of range") from None
-
-
-def check_finite_array(name: str, arr: np.ndarray) -> None:
-    """Refuse NaN and infinite entries, which every ``<``/``>`` check lets through."""
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite")

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from . import _kernels
 from .errors import ParameterError, check_finite, check_nonneg, check_not_nan
 from .gaussian_model import GaussianPairSource, TradeoffPoint
 
@@ -228,6 +227,8 @@ def grid_oracle_rate(
         raise ParameterError("grid resolution must be at least 16 per axis")
     check_nonneg("distortion budget", d)
     check_not_nan("classification budget c", c)
+    from . import _kernels  # numpy loads here, not with the closed forms
+
     found, rate = _kernels.grid_rate_scan(src.var_x, src.h_s, src.rho_sq, d, c, n_sigma, n_theta)
     if not found:
         return FeasibilityVerdict("infeasible", branch="infeasible")

@@ -61,16 +61,16 @@ def sample_joint(
         raise ParameterError("n must be >= 1")
     if not isinstance(target, GaussianReconstruction):
         raise ParameterError(f"unsupported target type {type(target)!r}")
-    squared_correlation(src, target)
+    t = squared_correlation(src, target)
     mu_w, var_w, cov_xw = target.mu_xhat, target.var_xhat, target.cov_xxhat
     resid_s = src.var_s - src.cov_xs**2 / src.var_x
-    resid_w = var_w - cov_xw**2 / src.var_x
+    resid_w = var_w * (1.0 - t)  # not var_w - cov_xw**2 / var_x: cov_xw**2 may underflow
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.standard_normal((3, n))
     x = src.mu_x + math.sqrt(src.var_x) * u[0]
     centered = x - src.mu_x
     s = src.mu_s + (src.cov_xs / src.var_x) * centered + math.sqrt(max(resid_s, 0.0)) * u[1]
-    w = mu_w + (cov_xw / src.var_x) * centered + math.sqrt(max(resid_w, 0.0)) * u[2]
+    w = mu_w + (cov_xw / src.var_x) * centered + math.sqrt(resid_w) * u[2]
     return SampleBatch(n=n, seed=seed, x=x, s=s, xhat=w)
 
 

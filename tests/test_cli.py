@@ -2,13 +2,17 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdclab.cli import (
     CURVE_HEADER,
     CurveRecord,
+    _linspace,
     bundled_source_path,
     load_discrete_source,
     main,
@@ -307,3 +311,34 @@ class TestMisc:
         assert run([*argv, "--out", str(tmp_path / "missing" / "x")]) == 3
         assert capsys.readouterr().err.startswith("error: cannot write ")
         assert list(tmp_path.iterdir()) == []
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values):
+    """Each float's IEEE bytes: tells -0.0 from 0.0 and NaN payloads apart."""
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestNumpyFreeGrids:
+    """The CLI's pure-Python grids equal the numpy calls they replace."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(FINITE, FINITE, st.integers(2, 500))
+    @example(1.0, 1.0, 7)  # a == b
+    @example(-0.0, -0.0, 3)
+    @example(-3.5, 2.25, 2)  # opposite signs, endpoints only
+    @example(-1e308, 1e308, 5)  # the span overflows
+    @example(5e-324, 1e-323, 4)  # the step underflows, (k / 3) * delta does not
+    def test_linspace_matches_numpy_bitwise(self, a, b, n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linspace(a, b, n).tolist()
+        assert _bits(_linspace(a, b, n)) == _bits(want)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.one_of(FINITE, st.sampled_from([0.0, 1.5, -2.0])), min_size=1), FINITE)
+    @example([0.5, 0.5], 0.5)  # every value coincides
+    def test_sorted_sets_match_unique_and_union1d(self, values, extra):
+        assert sorted(set(values)) == np.unique(values).tolist()
+        assert sorted({*values, extra}) == np.union1d(values, [extra]).tolist()

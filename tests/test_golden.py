@@ -37,7 +37,10 @@ RUNS = {
 # gauss-curves alone.  Each argv writes the one file named by its key.
 GAUSSIAN_RUNS = {
     "gauss_curves_points20.csv": ["gauss-curves", "--points", "20"],
+    # the smallest grids; at rate 0 the oracle grid's two C values coincide
+    "gauss_curves_points2.csv": ["gauss-curves", "--points", "2", "--rates", "0,0.1,0.34"],
     "discrepancy_grid10.json": ["discrepancy-report", "--grid-c", "10", "--grid-r", "10"],
+    "discrepancy_grid2x3.json": ["discrepancy-report", "--grid-c", "2", "--grid-r", "3"],
     "bounds_instances20.json": ["bounds", "--instances", "20"],
 }
 

@@ -1,8 +1,13 @@
-"""Start-up: `import rdclab` and every CLI subcommand load no scipy module.
+"""Start-up: which of numpy and scipy `import rdclab` and each CLI subcommand load.
 
-scipy is imported inside ``w2_squared_lp`` and ``discretize_gaussian`` on
-their first call.  Each check runs in a fresh interpreter, because this test
-process has long since imported scipy through other tests.
+``import rdclab`` and the Gaussian subcommands (``gauss-curves``,
+``discrepancy-report``) load neither: the Gaussian modules need only ``math``
+and the package serves the names of its numpy-backed modules on first
+access.  ``bounds`` loads numpy for its seeded rate draws and
+``discrete-region`` for its arrays.  scipy is imported inside
+``w2_squared_lp`` and ``discretize_gaussian`` on their first call, so no
+subcommand loads it.  Each check runs in a fresh interpreter, because this
+test process has long since imported numpy and scipy through other tests.
 """
 
 import json
@@ -14,13 +19,14 @@ from pathlib import Path
 import pytest
 
 import rdclab
+from rdclab.cli import bundled_source_path
 
 SRC = str(Path(rdclab.__file__).resolve().parents[1])
 
-SCIPY_MODULES = (
+HEAVY_MODULES = (
     "import json, sys\n"
-    "print(json.dumps(sorted(m for m in sys.modules"
-    " if m == 'scipy' or m.startswith('scipy.'))))\n"
+    "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules}"
+    " & {'numpy', 'scipy'})))\n"
 )
 
 
@@ -37,7 +43,7 @@ def fresh_python(code: str) -> str:
 
 
 def test_import_rdclab_loads_no_scipy():
-    assert json.loads(fresh_python("import rdclab\n" + SCIPY_MODULES)) == []
+    assert json.loads(fresh_python("import rdclab\n" + HEAVY_MODULES)) == []  # nor numpy
 
 
 SUBCOMMANDS = {
@@ -50,18 +56,67 @@ SUBCOMMANDS = {
         "discrete-region", "--source", "{flip01}", "--levels", "3", "--out", "{out}",
     ],
 }
+# The heavy packages each subcommand loads: scipy in none, numpy where it is used.
+LOADS = {
+    "gauss-curves": [],
+    "discrepancy-report": [],
+    "bounds": ["numpy"],
+    "discrete-region": ["numpy"],
+}
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_subcommand_loads_no_scipy(name, tmp_path):
+    # As `python -m rdclab.cli` runs it: the package __init__, then the CLI.
+    argv = [
+        a.format(out=str(tmp_path / "out"), flip01=str(bundled_source_path()))
+        for a in SUBCOMMANDS[name]
+    ]
     code = (
-        "from rdclab.cli import bundled_source_path, main\n"
-        f"argv = [a.format(out={str(tmp_path / 'out')!r},"
-        " flip01=str(bundled_source_path())) for a in "
-        f"{SUBCOMMANDS[name]!r}]\n"
-        "assert main(argv) == 0\n" + SCIPY_MODULES
+        "import runpy, sys\n"
+        f"sys.argv = {['rdclab', *argv]!r}\n"
+        "try:\n"
+        "    runpy.run_module('rdclab.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n" + HEAVY_MODULES
     )
-    assert json.loads(fresh_python(code)) == []
+    assert json.loads(fresh_python(code)) == LOADS[name]
+
+
+def test_every_export_resolves_lazily():
+    code = (
+        "import json, sys, types\n"
+        "import rdclab\n"
+        "names = rdclab.__all__\n"
+        "listed = set(dir(rdclab))\n"
+        "before = 'numpy' in sys.modules\n"
+        "from rdclab import DiscreteSource\n"
+        "homes = {n: getattr(rdclab, n).__module__ for n in names}\n"
+        "subs = {s: isinstance(getattr(rdclab, s), types.ModuleType) for s in\n"
+        "        ('_kernels', 'bounds_eval', 'discrete_region', 'validation_oracles')}\n"
+        "same = all(getattr(sys.modules[homes[n]], n) is getattr(rdclab, n) for n in names)\n"
+        "try:\n"
+        "    rdclab.no_such_name\n"
+        "    missing = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps({'names': names, 'unlisted': sorted(set(names) - listed),\n"
+        "    'before': before, 'homes': sorted(set(homes.values())), 'subs': subs,\n"
+        "    'same': same, 'missing': missing,\n"
+        "    'source': DiscreteSource is rdclab.discrete_region.DiscreteSource}))\n"
+    )
+    got = json.loads(fresh_python(code))
+    assert len(got["names"]) == len(set(got["names"])) == 58
+    assert got["unlisted"] == []
+    assert not got["before"]
+    assert got["homes"] == [
+        "rdclab.bounds_eval", "rdclab.discrete_region", "rdclab.errors",
+        "rdclab.gaussian_model", "rdclab.gaussian_tradeoff", "rdclab.universal_gaussian",
+        "rdclab.validation_oracles",
+    ]
+    assert all(got["subs"].values())
+    assert got["same"] and got["source"]
+    assert got["missing"] == "module 'rdclab' has no attribute 'no_such_name'"
 
 
 def test_scipy_functions_unchanged_after_cold_import():
@@ -89,4 +144,3 @@ def test_scipy_functions_unchanged_after_cold_import():
         "f0d09b1cdd15869e77a16de5656224e5781f6edb2eac7312d6321e4a8f3fe141"
     )
     assert got["scipy"]
-

@@ -80,6 +80,14 @@ class TestSampleJoint:
         with pytest.raises(ParameterError, match="not a valid covariance"):
             sample_joint(src, bad, 100, seed=0)
 
+    def test_reconstruction_variance_at_tiny_scale(self):
+        # cov_xxhat^2 underflows to 0 here (t = 0.25); the residual variance
+        # of X̂ given X is var_xhat * (1 - t), not var_xhat.
+        src = GaussianPairSource(0.0, 1e-60, 0.0, 1.0, 0.5e-30)
+        rec = GaussianReconstruction(0.0, 1e-300, 5e-181)
+        batch = sample_joint(src, rec, 200_000, seed=5)
+        assert abs(float(np.var(batch.xhat, ddof=1)) / 1e-300 - 1.0) <= 0.02
+
 
 class TestPluginEstimates:
     def test_identity_reconstruction_degenerate(self):
