@@ -298,17 +298,9 @@ def cmd_discrete_region(args) -> int:
     levels = args.levels
     d_budget = args.d_budget if args.d_budget is not None else src.var_x()
 
-    frontier, sol = discrete_region.region_and_c_min(src, encoder, d_budget, levels)
-    ext_a = discrete_region.extreme_point_a(src, encoder)
-    if sol is None:
-        raise InfeasibleBudgetError(
-            f"no decoder on the grid meets the distortion budget {d_budget}"
-        )
-    ext_b = (sol.d_b, sol.c_min)
-    violations, min_slack, checked = discrete_region.outer_bound_sweep(
-        src, encoder, levels
+    frontier, ext_a, sol, (violations, min_slack, checked), rate = (
+        discrete_region.region_report(src, encoder, d_budget, levels)
     )
-    rate = discrete_region.mutual_info_xz(src, encoder)
 
     records = [
         CurveRecord("frontier", "discrete", rate, c, d, "frontier")
@@ -318,7 +310,7 @@ def cmd_discrete_region(args) -> int:
         CurveRecord("extreme_a", "discrete", rate, ext_a[1], ext_a[0], "extreme_a")
     )
     records.append(
-        CurveRecord("extreme_b", "discrete", rate, ext_b[1], ext_b[0], "extreme_b")
+        CurveRecord("extreme_b", "discrete", rate, sol.c_min, sol.d_b, "extreme_b")
     )
     write_curve_csv(f"{args.out}.csv", records)
 
@@ -328,7 +320,7 @@ def cmd_discrete_region(args) -> int:
         "d_budget": d_budget,
         "frontier_size": len(frontier),
         "extreme_a": {"d": ext_a[0], "c": ext_a[1]},
-        "extreme_b": {"d": ext_b[0], "c": ext_b[1]},
+        "extreme_b": {"d": sol.d_b, "c": sol.c_min},
         "c_min": sol.c_min,
         "p_xhat_at_c_min": {
             "support": sol.p_xhat.support,

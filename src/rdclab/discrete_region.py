@@ -12,15 +12,15 @@ splits exactly (Pythagorean identity) as E[(X-X̂)^2] = E[(X-X̃)^2] +
 E[(X̃-X̂)^2], and the quantile-coupling transport cost is cross-checked by a
 linear program over the transportation polytope.
 
-Entropies are in nats.  The grid solvers (``region_approx``,
-``c_min_solver`` with ``extreme_point_b``, and ``outer_bound_sweep``) decode
-onto one alphabet, the MMSE support joined with the source alphabet; a custom
-real support remains only on ``outer_bound_check``.  The three solvers take
-their decoder grid from ``_grid``, which enforces ``levels >= 1`` and the
-2,000,000-decoder cap for all of them.  Two guards stay per solver:
-``region_approx`` limits alphabets to 6 symbols and levels to 12, and
-``c_min_solver`` needs ``levels >= 3``.  ``region_and_c_min``, which the CLI
-runs, takes the results of both from one (D, C) pass over the grid.
+Entropies are in nats.  Every decoder maps Z onto one alphabet, the MMSE
+support joined with the source alphabet.  The grid solvers
+(``region_approx``, ``c_min_solver`` with ``extreme_point_b``, and
+``outer_bound_sweep``) take their decoder grid from ``_grid``, which enforces
+``levels >= 1`` and the 2,000,000-decoder cap for all of them.  Two guards
+stay per solver: ``region_approx`` limits alphabets to 6 symbols and levels
+to 12, and ``c_min_solver`` needs ``levels >= 3``.  ``region_report``, which
+the CLI runs, gives what the three and ``extreme_point_a`` give from one
+grid and one (D, C) pass over it.
 
 scipy is imported inside the two functions that use it, ``w2_squared_lp``
 (``linprog``) and ``discretize_gaussian`` (``norm``), on their first call.
@@ -304,7 +304,11 @@ def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     for jcol in range(m - 1):  # last column constraint is redundant
         a_eq[n + jcol, jcol::m] = 1.0
         b_eq[n + jcol] = q.probs[jcol]
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    # At HiGHS's default tolerances (1e-7) a 32-atom pair's value came out 4.4e-9 low.
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options=tol
+    )
     if not res.success:  # pragma: no cover - transportation LPs are always feasible
         raise RuntimeError(f"transportation LP failed: {res.message}")
     return float(res.fun)
@@ -334,17 +338,8 @@ def deterministic_decoder(
     return Channel(mat)
 
 
-def _marginal_xhat(
-    src: DiscreteSource, encoder: Channel, decoder: Channel
-) -> np.ndarray:
-    return src.p_x @ encoder.matrix @ decoder.matrix
-
-
 def outer_bound_check(
-    src: DiscreteSource,
-    encoder: Channel,
-    decoder: Channel,
-    xhat_values: np.ndarray | None = None,
+    src: DiscreteSource, encoder: Channel, decoder: Channel
 ) -> OuterBoundReport:
     """Exact check of D >= residual + W2^2(p_X̃, p_X̂) for one decoder.
 
@@ -352,11 +347,7 @@ def outer_bound_check(
     MSE, C the achieved H(S | X̂).
     """
     red = mmse_reduction(src, encoder)
-    vals = (
-        default_xhat_values(src, red)
-        if xhat_values is None
-        else np.asarray(xhat_values, dtype=np.float64)
-    )
+    vals = default_xhat_values(src, red)
     if decoder.n_in != encoder.n_out or decoder.n_out != vals.size:
         raise ParameterError("decoder shape does not match encoder/alphabet")
     through = encoder.matrix @ decoder.matrix  # p(x̂ | x), shape (n_x, n_k)
@@ -364,7 +355,7 @@ def outer_bound_check(
     d = float((src.p_x[:, None] * through * sq).sum())
     joint_sk = src.pmf.T @ through  # (n_s, n_k)
     c = cond_entropy_discrete(joint_sk)
-    p_xhat = _marginal_xhat(src, encoder, decoder)
+    p_xhat = src.p_x @ encoder.matrix @ decoder.matrix
     w2 = _kernels.w2_quantile_pairs(
         red.p_xtilde.support, red.p_xtilde.probs, vals, p_xhat
     )
@@ -377,9 +368,11 @@ def outer_bound_check(
 
 def extreme_point_a(src: DiscreteSource, encoder: Channel) -> tuple[float, float]:
     """Minimum-distortion corner: (E[(X - X̃)^2], H(S | X̃))."""
-    red = mmse_reduction(src, encoder)
-    b = joint_zs(src, encoder)  # (n_z, n_s)
-    groups: dict[float, np.ndarray] = {}
+    return _extreme_a(mmse_reduction(src, encoder), joint_zs(src, encoder))
+
+
+def _extreme_a(red: MMSEReduction, b: np.ndarray) -> tuple[float, float]:
+    groups: dict[float, np.ndarray] = {}  # x̃ -> p(x̃, s), summed from b = p(z, s)
     for z, value in red.estimator.items():
         groups[value] = groups.get(value, 0.0) + b[z]
     joint = np.stack([groups[v] for v in sorted(groups)], axis=1)  # (n_s, n_groups)
@@ -438,12 +431,10 @@ def _check_c_min_args(d_budget: float, levels: int) -> None:
         raise ParameterError("levels must be >= 3")
 
 
-def _c_min_solution(src, encoder, grid, idx, best_c) -> CMinSolution | None:
+def _c_min_solution(src, encoder, grid, idx, best_c) -> CMinSolution:
     red, vals, rows = grid[:3]
-    if idx is None:
-        return None
     decoder = Channel(rows[idx])
-    p_xhat = DiscreteDistribution(vals, _marginal_xhat(src, encoder, decoder))
+    p_xhat = DiscreteDistribution(vals, src.p_x @ encoder.matrix @ decoder.matrix)
     return CMinSolution(
         c_min=best_c,
         d_b=red.residual + w2_squared_quantile(red.p_xtilde, p_xhat),
@@ -466,7 +457,7 @@ def c_min_solver(
     grid = _grid(src, encoder, levels)
     rows, row_d, b = grid[2:]
     idx, best_c = _kernels.cmin_scan(rows, encoder.n_out, row_d, b, float(d_budget))
-    return _c_min_solution(src, encoder, grid, idx, best_c)
+    return None if idx is None else _c_min_solution(src, encoder, grid, idx, best_c)
 
 
 def extreme_point_b(
@@ -476,9 +467,7 @@ def extreme_point_b(
     (residual + W2^2(p_X̃, p_X̂_at_c_min), C_min)."""
     sol = c_min_solver(src, encoder, d_budget, levels)
     if sol is None:
-        raise InfeasibleBudgetError(
-            f"no grid decoder meets the distortion budget {d_budget}"
-        )
+        raise InfeasibleBudgetError(f"no grid decoder meets the distortion budget {d_budget}")
     return sol.d_b, sol.c_min
 
 
@@ -524,18 +513,29 @@ def region_approx(
     return _frontier(*_kernels.dc_scan(rows, encoder.n_out, row_d, b))
 
 
-def region_and_c_min(
-    src: DiscreteSource, encoder: Channel, d_budget: float, levels: int
-) -> tuple[list[tuple[float, float]], CMinSolution | None]:
-    """``region_approx`` and ``c_min_solver``, refusing as those two calls
-    would in that order, from one pass over the grid."""
+def region_report(src: DiscreteSource, encoder: Channel, d_budget: float, levels: int):
+    """What ``region_approx``, ``extreme_point_a``, ``c_min_solver``,
+    ``outer_bound_sweep`` and ``mutual_info_xz`` return, as one tuple in that
+    order, from one grid.  Refuses as ``region_approx`` and then
+    ``c_min_solver`` would, and before the outer scan when no grid decoder
+    meets the budget (``InfeasibleBudgetError``)."""
     _check_region_size(src, encoder, levels)
     grid = _grid(src, encoder, levels)
     _check_c_min_args(d_budget, levels)
-    rows, row_d, b = grid[2:]
+    red, _, rows, row_d, b = grid
     d, c = _kernels.dc_scan(rows, encoder.n_out, row_d, b)
     idx, best_c = _kernels.budget_argmin(d, c, float(d_budget), len(rows), encoder.n_out)
-    return _frontier(d, c), _c_min_solution(src, encoder, grid, idx, best_c)
+    if idx is None:
+        raise InfeasibleBudgetError(
+            f"no decoder on the grid meets the distortion budget {d_budget}"
+        )
+    return (
+        _frontier(d, c),
+        _extreme_a(red, b),
+        _c_min_solution(src, encoder, grid, idx, best_c),
+        _outer_sweep(src, encoder, grid),
+        mutual_info_xz(src, encoder),
+    )
 
 
 def outer_bound_sweep(
@@ -546,7 +546,11 @@ def outer_bound_sweep(
     Returns (violations, min_slack, decoders_checked) where slack is
     D - residual - W2^2(p_X̃, p_X̂).
     """
-    red, vals, rows, row_d, _ = _grid(src, encoder, levels)
+    return _outer_sweep(src, encoder, _grid(src, encoder, levels))
+
+
+def _outer_sweep(src: DiscreteSource, encoder: Channel, grid) -> tuple[int, float, int]:
+    red, vals, rows, row_d, _ = grid
     # p_X̃ on the grid alphabet, which holds every MMSE atom.
     p_xt = np.zeros(vals.size)
     p_xt[np.searchsorted(vals, red.p_xtilde.support)] = red.p_xtilde.probs

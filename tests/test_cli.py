@@ -200,6 +200,15 @@ class TestDiscreteRegion:
         assert capsys.readouterr().err.splitlines() == [line]
         assert list(tmp_path.iterdir()) == []
 
+    def test_budget_below_every_decoder_exits_2(self, tmp_path, capsys):
+        # No decoder beats the residual 0.36, so nothing is written.
+        assert run(["discrete-region", "--source", str(bundled_source_path()),
+                    "--d-budget", "0.01", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "infeasible: no decoder on the grid meets the distortion budget 0.01"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     def test_outer_bound_tolerance_follows_scale(self, tmp_path):
         # The bound is a theorem: at D ~ 1e300 its rounding is not a violation.
         payload = json.loads(bundled_source_path().read_text())

@@ -183,6 +183,15 @@ class TestTransport:
                 w2_squared_lp(p, q), abs=1e-9
             )
 
+    def test_lp_meets_quantile_on_a_32_atom_pair(self):
+        # At HiGHS's default feasibility tolerances the LP value of this pair
+        # was 1.977332973506147, 4.4e-9 below the quantile coupling's.
+        pair = json.loads((Path(__file__).parent / "data" / "w2_pair_32_atoms.json").read_text())
+        p = DiscreteDistribution(pair["x_support"], pair["x_probs"])
+        q = DiscreteDistribution(pair["y_support"], pair["y_probs"])
+        assert w2_squared_quantile(p, q) == 1.9773329779152071
+        assert w2_squared_lp(p, q) == pytest.approx(1.9773329779152071, abs=1e-9)
+
     def test_lp_size_guard(self):
         big = DiscreteDistribution(np.arange(65.0), np.full(65, 1.0 / 65.0))
         with pytest.raises(SizeGuardError):
@@ -219,9 +228,16 @@ class TestOuterBound:
         assert outer_bound_sweep(src, enc, 3)[0] == 0
 
     def test_collapse_to_zero_decoder(self):
-        src, enc = flip_source(), flip_encoder()
-        dec = Channel(np.array([[1.0], [1.0]]))
-        rep = outer_bound_check(src, enc, dec, xhat_values=np.array([0.0]))
+        # The flip instance plus x = 0 with no mass, which puts 0 in the
+        # reconstruction alphabet without changing any law.
+        src = DiscreteSource(
+            np.array([-1.0, 0.0, 1.0]), 2, np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 0.5]])
+        )
+        enc = Channel(np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]))
+        vals = default_xhat_values(src, mmse_reduction(src, enc))
+        np.testing.assert_allclose(vals, [-1.0, -0.8, 0.0, 0.8, 1.0])
+        dec = deterministic_decoder({0: 0.0, 1: 0.0}, enc.n_out, vals)
+        rep = outer_bound_check(src, enc, dec)
         assert rep.d == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(1.0, abs=1e-12)  # 0.36 + 0.64
         assert rep.holds

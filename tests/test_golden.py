@@ -18,6 +18,8 @@ GOLDEN = Path(__file__).parent / "golden"
 RUNS = {
     # bundled source, 27,225 decoders, budget defaults to Var(X)
     "flip01_levels8": ["--source", "flip01", "--levels", "8"],
+    # the benchmark's region-enum argv: 207,025 decoders over 455 rows per symbol
+    "flip01_levels12": ["--source", "flip01", "--levels", "12"],
     # |X| = 2, |S| = 2, |Z| = 3 at levels 3: 42,875 decoders over six chunks
     "x2_s2_z3_levels3": [
         "--source", str(GOLDEN / "x2_s2_z3_source.json"), "--levels", "3",

@@ -27,10 +27,13 @@ from rdclab.discrete_region import (
     _grid,
     _simplex_grid,
     c_min_solver,
-    region_and_c_min,
+    extreme_point_a,
+    mutual_info_xz,
+    outer_bound_sweep,
     region_approx,
+    region_report,
 )
-from rdclab.errors import VAR_RANGE
+from rdclab.errors import VAR_RANGE, InfeasibleBudgetError, ParameterError
 
 GOLDEN = Path(__file__).parent / "golden"
 # |rho| just below 1, where rho^2 * t can round above 1 at the ends of a row.
@@ -468,7 +471,8 @@ def small_sources(draw):
 
 class TestOnePass:
     """The frontier and c_min of one (D, C) pass, bit for bit against the
-    loop oracles and the forms the one pass replaced."""
+    loop oracles and the forms the one pass replaced, and every part of
+    ``region_report`` against the public solver that computes it alone."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(small_sources())
@@ -499,14 +503,22 @@ class TestOnePass:
             else:
                 assert tuple(idx) == np.unravel_index(flat, (rows.shape[0],) * n_z)
 
-        if levels >= 3:
-            got_frontier, got = region_and_c_min(src, enc, budget, levels)
-            want = c_min_solver(src, enc, budget, levels)
-            assert got_frontier == frontier
-            assert (got is None) == (want is None) == (flat < 0)
-            if got is not None:
-                assert (got.c_min, got.d_b) == (want.c_min, want.d_b)
-                np.testing.assert_array_equal(got.decoder.matrix, want.decoder.matrix)
+        want = c_min_solver(src, enc, budget, levels) if levels >= 3 else None
+        assert (want is None) == (flat < 0 or levels < 3)
+        if want is None:
+            error = ParameterError if levels < 3 else InfeasibleBudgetError
+            with pytest.raises(error):
+                region_report(src, enc, budget, levels)
+            return
+        got_frontier, ext_a, got, outer, rate = region_report(src, enc, budget, levels)
+        assert got_frontier == frontier
+        assert ext_a == extreme_point_a(src, enc)
+        assert (got.c_min, got.d_b) == (want.c_min, want.d_b)
+        np.testing.assert_array_equal(got.decoder.matrix, want.decoder.matrix)
+        np.testing.assert_array_equal(got.p_xhat.support, want.p_xhat.support)
+        np.testing.assert_array_equal(got.p_xhat.probs, want.p_xhat.probs)
+        assert outer == outer_bound_sweep(src, enc, levels)
+        assert rate == mutual_info_xz(src, enc)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(

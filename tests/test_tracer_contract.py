@@ -36,8 +36,10 @@ def test_traced_discrete_region_job_loses_no_counter(tmp_path):
     with tracer.active():
         assert rdclab.cli.main(argv) == 0
     assert [k for k in tracer.counters if k.endswith(".hook_errors")] == []
-    # One (D, C) pass feeds both the frontier and c_min, plus the outer-bound
-    # scan: two scans over 20 rows per symbol, two symbols.
+    # One grid: one (D, C) pass feeds both the frontier and c_min, plus the
+    # outer-bound scan: two scans over 20 rows per symbol, two symbols.
     assert tracer.counters["decoders_enumerated"] == 2 * 20**2
     assert tracer.stats["_kernels.dc_scan"][0] == 1
+    assert tracer.stats["_kernels.outer_scan"][0] == 1
     assert tracer.stats["_kernels.cmin_scan"][0] == 0
+    assert tracer.stats["discrete_region.mmse_reduction"][0] == 1
