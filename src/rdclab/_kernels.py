@@ -13,6 +13,9 @@ Kernels:
   * outer_scan          - achievability outer-bound check over the grid.
   * w2_quantile_pairs   - monotone-coupling squared transport cost between
                           two discrete distributions on the line.
+  * cond_entropy_terms  - the H(S|.) terms joint * (log marginal - log joint),
+                          summed by ``_dc_scan``'s table and by
+                          ``discrete_region.cond_entropy_discrete``.
 
 The decoder scans walk the grid through ``_blocks``, the one place that
 knows the decoder order; a block broadcasts the last symbol's row over a run
@@ -29,13 +32,13 @@ rounding keeps each of these orders.  So each budget holds on a prefix or a
 suffix of each half-row, a bisection finds the boundaries, and the least rate
 is bitwise the full scan's.
 
-The monotone-coupling cost has two forms, one per caller.  ``outer_scan``
-prices a block of decoders with ``_w2_rows``, which runs the scalar loop
-``_w2_quantile_py`` on every row at once for a fixed nx + ny - 1 steps, so
-each row's cost is bitwise the scalar loop's.  ``w2_quantile_pairs`` prices
-one pair and keeps the scalar loop: on random 32-atom pairs a one-row
-``_w2_rows`` call took ~1 ms against 0.045 ms for the loop (2-vCPU x86_64,
-numpy 2.4), because the row kernel pays numpy's per-call overhead each step.
+The monotone-coupling cost is one scalar loop, ``w2_quantile_pairs``, which
+prices one pair.  ``outer_scan`` prices a block of decoders with ``_w2_rows``,
+which runs that loop on every row at once for a fixed nx + ny - 1 steps, so
+each row's cost is bitwise the loop's.  A one-row ``_w2_rows`` call would not
+serve for one pair: on random 32-atom pairs it took ~1 ms against 0.045 ms for
+the loop (2-vCPU x86_64, numpy 2.4), because the row kernel pays numpy's
+per-call overhead each step.
 """
 
 from __future__ import annotations
@@ -56,10 +59,10 @@ def outer_tol(atoms):
 # ---------------------------------------------------------------------------
 
 
-def _w2_quantile_py(xv, xp, yv, yp):
+def w2_quantile_pairs(xv, xp, yv, yp):
     """Squared transport cost of the monotone coupling of two sorted atoms."""
-    nx = xv.shape[0]
-    ny = yv.shape[0]
+    nx = len(xv)
+    ny = len(yv)
     i = 0
     j = 0
     mi = xp[0]
@@ -81,11 +84,11 @@ def _w2_quantile_py(xv, xp, yv, yp):
             if j >= ny:
                 break
             mj = yp[j]
-    return cost
+    return float(cost)
 
 
 def _w2_rows(xv, xp, yv, yp_rows):
-    """``_w2_quantile_py(xv, xp, yv, p)`` for every row ``p`` of ``yp_rows``.
+    """``w2_quantile_pairs(xv, xp, yv, p)`` for every row ``p`` of ``yp_rows``.
 
     Runs the scalar loop on all rows at once, one breakpoint per step.  Each
     row keeps its own ``i``, ``j``, ``mi``, ``mj`` and ``cost`` and does its
@@ -122,14 +125,6 @@ def _w2_rows(xv, xp, yv, yp_rows):
         np.copyto(mj, yp.take(j * n + row), where=step_j)
         diff = xv.take(i) - yv.take(j)
     return cost
-
-
-def w2_quantile_pairs(xv, xp, yv, yp):
-    xv = np.ascontiguousarray(xv, dtype=np.float64)
-    xp = np.ascontiguousarray(xp, dtype=np.float64)
-    yv = np.ascontiguousarray(yv, dtype=np.float64)
-    yp = np.ascontiguousarray(yp, dtype=np.float64)
-    return float(_w2_quantile_py(xv, xp, yv, yp))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +249,16 @@ def _entropy_records(rows, n_z, joint_zs):
     joint = values[digits[0], None] * joint_zs[0]
     for z in range(1, n_z):
         joint += values[digits[z], None] * joint_zs[z]
-    pk = joint.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = joint * (np.log(pk)[:, None] - np.log(joint))
-    term[joint <= 0.0] = 0.0
+    term = cond_entropy_terms(joint, joint.sum(axis=-1)[:, None])
     return code, term.view(np.dtype((np.void, term.itemsize * term.shape[1]))).ravel()
+
+
+def cond_entropy_terms(joint, marginal):
+    """The H(S|.) terms ``joint * (log marginal - log joint)``, 0 where joint is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = joint * (np.log(marginal) - np.log(joint))
+    term[joint <= 0.0] = 0.0
+    return term
 
 
 def _dc_scan(rows, n_z, row_d, joint_zs):

@@ -123,22 +123,18 @@ def bundled_source_path(name: str = "flip01_source") -> Path:
     return Path(resources.files("rdclab").joinpath(f"data/{name}.json"))
 
 
-def _number_array(payload: dict, key: str, rank: int):
-    """payload[key] as a float64 array: lists nested ``rank`` deep around JSON
-    numbers (a boolean is not one), rectangular and within float range."""
-    import numpy as np
+def _number_array(payload: dict, key: str, rank: int) -> list:
+    """payload[key], checked to be lists nested ``rank`` deep around JSON numbers
+    (a boolean is not one); the constructors check the rest."""
 
     def numbers(value, depth: int) -> bool:
         if depth == 0:
             return type(value) in (int, float)
         return isinstance(value, list) and all(numbers(v, depth - 1) for v in value)
 
-    try:
-        if numbers(payload[key], rank):
-            return np.asarray(payload[key], dtype=np.float64)
-    except (ValueError, OverflowError):  # ragged rows; an int past float range
-        pass
-    raise ParameterError(f"source file: {key} must be a rectangular rank-{rank} array of numbers")
+    if not numbers(payload[key], rank):
+        raise ParameterError(f"source file: {key} must be a rank-{rank} array of numbers")
+    return payload[key]
 
 
 def load_discrete_source(path: str | Path):

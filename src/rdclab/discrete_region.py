@@ -48,39 +48,50 @@ _MAX_DECODER_COMBOS = 2_000_000
 _PARETO_BUCKETS = 1024  # D buckets of the frontier's sort-free prefilter
 
 
-def check_finite_array(name: str, arr: np.ndarray) -> None:
-    """Refuse NaN and infinite entries, which every ``<``/``>`` check lets through."""
-    if not np.all(np.isfinite(arr)):
+def _frozen_array(name: str, value, ndim: int) -> np.ndarray:
+    """A read-only float64 copy of ``value``, a non-empty rectangular rank-``ndim``
+    array of finite numbers; ``ParameterError`` otherwise.  The copy keeps a
+    checked object from changing when its caller later writes to ``value``."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged; an int past float range; not a number
+        msg = f"{name} must be a rectangular array of numbers in float range"
+        raise ParameterError(msg) from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise ParameterError(f"{name} must be a non-empty rank-{ndim} array")
+    if not np.all(np.isfinite(arr)):  # NaN passes every < and > check
         raise ParameterError(f"{name} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
+def _check_probabilities(name: str, p: np.ndarray, tol: float, axis=None) -> None:
+    """Refuse a negative entry, or a total (per row with ``axis=1``) off 1 by more than tol."""
+    if np.any(p < 0.0) or np.any(np.abs(p.sum(axis=axis) - 1.0) > tol):
+        raise ParameterError(f"{name} must be nonnegative and sum to 1")
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Atoms on the real line: strictly increasing support, probs summing to 1.
 
-    Every entry of ``support`` and ``probs`` must be finite.
+    Owns read-only copies of ``support`` and ``probs``, whose entries must be
+    finite.
     """
 
     support: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=np.float64)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if support.ndim != 1 or probs.shape != support.shape:
-            raise ParameterError("support and probs must be 1-D and equal length")
-        if support.size == 0:
-            raise ParameterError("distribution must have at least one atom")
-        check_finite_array("support", support)
-        check_finite_array("probs", probs)
+        support = _frozen_array("support", self.support, 1)
+        probs = _frozen_array("probs", self.probs, 1)
+        if probs.shape != support.shape:
+            raise ParameterError("support and probs must have equal length")
         if np.any(np.diff(support) <= 0.0):
             raise ParameterError("support must be strictly increasing")
-        if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ParameterError("probs must be nonnegative and sum to 1")
+        _check_probabilities("probs", probs, 1e-9)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
-        support.flags.writeable = False
-        probs.flags.writeable = False
 
     def mean(self) -> float:
         return float(self.support @ self.probs)
@@ -95,10 +106,10 @@ class DiscreteSource:
     """Joint pmf of a real-valued X and a finite label S.
 
     ``pmf[i, j] = P(X = x_values[i], S = j)``.  Labels are indices: every
-    label quantity is an entropy, so S needs no numeric values.  Every entry
-    of ``x_values`` and ``pmf`` must be finite, and so must the squared span
-    ``(x_max - x_min)^2``, which bounds every squared distance the
-    distortions and transport costs add up.
+    label quantity is an entropy, so S needs no numeric values.  The source
+    owns read-only copies of ``x_values`` and ``pmf``, whose entries must be
+    finite, and so must the squared span ``(x_max - x_min)^2``, which bounds
+    every squared distance the distortions and transport costs add up.
     """
 
     x_values: np.ndarray
@@ -106,12 +117,10 @@ class DiscreteSource:
     pmf: np.ndarray
 
     def __post_init__(self) -> None:
-        xv = np.asarray(self.x_values, dtype=np.float64)
-        pmf = np.asarray(self.pmf, dtype=np.float64)
-        check_finite_array("x_values", xv)
-        check_finite_array("pmf", pmf)
-        if xv.ndim != 1 or np.any(np.diff(xv) <= 0.0):
-            raise ParameterError("x_values must be 1-D and strictly increasing")
+        xv = _frozen_array("x_values", self.x_values, 1)
+        pmf = _frozen_array("pmf", self.pmf, 2)
+        if np.any(np.diff(xv) <= 0.0):
+            raise ParameterError("x_values must be strictly increasing")
         s_size = self.s_size
         if isinstance(s_size, bool) or not isinstance(s_size, (int, np.integer)) or s_size < 2:
             raise ParameterError(f"s_size must be an integer >= 2, got {s_size!r}")
@@ -119,15 +128,12 @@ class DiscreteSource:
             raise ParameterError(
                 f"pmf must have shape {(xv.size, s_size)}, got {pmf.shape}"
             )
-        if np.any(pmf < 0.0) or abs(float(pmf.sum()) - 1.0) > _STOCHASTIC_TOL:
-            raise ParameterError("pmf must be nonnegative and sum to 1")
-        span = float(xv[-1]) - float(xv[0])  # xv is not empty: pmf sums to 1
+        _check_probabilities("pmf", pmf, _STOCHASTIC_TOL)
+        span = float(xv[-1]) - float(xv[0])
         if not math.isfinite(span * span):
             raise ParameterError(f"x_values span {span} overflows when squared")
         object.__setattr__(self, "x_values", xv)
         object.__setattr__(self, "pmf", pmf)
-        for arr in (xv, pmf):
-            arr.flags.writeable = False
 
     @property
     def p_x(self) -> np.ndarray:
@@ -145,22 +151,15 @@ class DiscreteSource:
 class Channel:
     """Row-stochastic matrix: rows index inputs, each row a probability vector.
 
-    Every entry must be finite.
+    Owns a read-only copy of ``matrix``, whose entries must be finite.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
-            raise ParameterError("channel matrix must be 2-D and non-empty")
-        check_finite_array("channel entries", mat)
-        if np.any(mat < 0.0):
-            raise ParameterError("channel entries must be nonnegative")
-        if np.any(np.abs(mat.sum(axis=1) - 1.0) > _STOCHASTIC_TOL):
-            raise ParameterError("channel rows must each sum to 1")
+        mat = _frozen_array("channel matrix", self.matrix, 2)
+        _check_probabilities("channel rows", mat, _STOCHASTIC_TOL, axis=1)
         object.__setattr__(self, "matrix", mat)
-        mat.flags.writeable = False
 
     @property
     def n_in(self) -> int:
@@ -266,16 +265,9 @@ def cond_entropy_discrete(joint: np.ndarray) -> float:
 
     Conditions on the second axis; 0*log(0) is 0.
     """
-    j = np.asarray(joint, dtype=np.float64)
-    if j.ndim != 2:
-        raise ParameterError("joint must be 2-D")
-    if np.any(j < 0.0) or abs(float(j.sum()) - 1.0) > 1e-9:
-        raise ParameterError("joint must be nonnegative and sum to 1")
-    p_w = j.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = j * (np.log(p_w)[None, :] - np.log(j))
-    term[j <= 0.0] = 0.0
-    return float(term.sum())
+    j = _frozen_array("joint", joint, 2)
+    _check_probabilities("joint", j, 1e-9)
+    return float(_kernels.cond_entropy_terms(j, j.sum(axis=0)[None, :]).sum())
 
 
 def w2_squared_quantile(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

@@ -7,8 +7,11 @@ nothing meets); means, variances, covariances, gains and the entries of
 discrete distributions and channels must be finite; the variances of a
 Gaussian source lie in ``VAR_RANGE``; a gain or covariance whose square
 overflows is refused.  The checks here use ``math`` only: they run in
-constructors built thousands of times a sweep.  The entries of discrete
-distributions and channels are checked in ``discrete_region``.
+constructors built thousands of times a sweep.  The arrays of the discrete
+value types pass one check, ``discrete_region._frozen_array``, which refuses
+ragged, empty, wrong-rank, non-finite and out-of-float-range input and
+returns a read-only float64 copy: constructors copy their input, so a later
+write to the caller's array never reaches a checked object.
 A Gaussian pair is checked in two places, once each: a source has rho^2 < 1
 (its constructor) and a reconstruction t <= 1 (``squared_correlation``).
 """

@@ -38,7 +38,7 @@ from rdclab import (
     theorem5_gaussian_harness,
 )
 from rdclab.cli import bundled_source_path, load_discrete_source, main, read_curve_csv
-from rdclab.discrete_region import DiscreteSource
+from rdclab.discrete_region import DiscreteSource, cond_entropy_discrete
 from rdclab.errors import VAR_RANGE, check_finite, check_nonneg, check_not_nan
 from rdclab.gaussian_model import (
     cond_entropy_s_given_xhat,
@@ -80,6 +80,9 @@ class TestChecks:
             id="sandwich",
         ),
         pytest.param(lambda: Theorem5Instance(1.0, math.nan, 0.5, 0.5), id="theorem5"),
+        pytest.param(  # once returned nan: NaN passed both its < 0 and its sum test
+            lambda: cond_entropy_discrete([[math.nan, 0.5], [0.5, 0.0]]), id="cond_entropy"
+        ),
     ],
 )
 def test_nan_is_refused(call):
@@ -375,24 +378,29 @@ _FLIP = BASE_SOURCES[0]  # the bundled source
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, field",
     [
-        pytest.param({**_FLIP, "x_values": "ab"}, id="x_values_string"),
-        pytest.param({**_FLIP, "pmf": "x"}, id="pmf_string"),
-        pytest.param({**_FLIP, "encoder": [[1, 0], [0]]}, id="ragged_encoder"),
-        pytest.param({**_FLIP, "s_size": None}, id="s_size_null"),
-        pytest.param(5, id="top_level_number"),
-        pytest.param(None, id="top_level_null"),
-        pytest.param({**_FLIP, "s_size": "2"}, id="s_size_string"),
-        pytest.param({**_FLIP, "s_size": 2.5}, id="s_size_fraction"),
+        pytest.param({**_FLIP, "x_values": "ab"}, None, id="x_values_string"),
+        pytest.param({**_FLIP, "pmf": "x"}, None, id="pmf_string"),
+        pytest.param({**_FLIP, "encoder": [[1, 0], [0]]}, None, id="ragged_encoder"),
+        pytest.param({**_FLIP, "s_size": None}, None, id="s_size_null"),
+        pytest.param(5, None, id="top_level_number"),
+        pytest.param(None, None, id="top_level_null"),
+        pytest.param({**_FLIP, "s_size": "2"}, None, id="s_size_string"),
+        pytest.param({**_FLIP, "s_size": 2.5}, None, id="s_size_fraction"),
+        pytest.param({**_FLIP, "pmf": [[0.5], [0.0, 0.5]]}, "pmf", id="ragged_pmf"),
+        pytest.param({**_FLIP, "x_values": [-1.0, 10**400]}, "x_values", id="x_past_float_range"),
+        pytest.param({**_FLIP, "encoder": [[True, 0.0], [0.0, 1.0]]}, "encoder", id="bool_encoder"),
     ],
 )
-def test_source_schema_faults_exit_3(payload, tmp_path, capsys):
-    # Each once exited 1 with a traceback or, for the last two, ran on a
-    # silently coerced s_size.
+def test_source_schema_faults_exit_3(payload, field, tmp_path, capsys):
+    # The first eight once exited 1 with a traceback or, for the s_size pair,
+    # ran on a silently coerced s_size.  The last three name their field.
     source = tmp_path / "source.json"
     source.write_text(json.dumps(payload))
     argv = ["discrete-region", "--source", str(source), "--levels", "3"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field is None or field in err.splitlines()[0]
     assert sorted(tmp_path.glob("out*")) == []

@@ -91,6 +91,91 @@ class TestNonFiniteEntries:
             make(bad)
 
 
+# Each value type built from the caller's arrays, and the attributes it copies.
+OWNERS = {
+    "distribution": (
+        lambda a: DiscreteDistribution(a["x"], a["p"]), {"x": "support", "p": "probs"}
+    ),
+    "source": (lambda a: DiscreteSource(a["x"], 2, a["pmf"]), {"x": "x_values", "pmf": "pmf"}),
+    "channel": (lambda a: Channel(a["enc"]), {"enc": "matrix"}),
+}
+
+
+def _caller_arrays():
+    return {
+        "x": np.array([-1.0, 1.0]),
+        "p": np.array([0.5, 0.5]),
+        "pmf": np.array([[0.5, 0.0], [0.0, 0.5]]),
+        "enc": np.array([[0.9, 0.1], [0.1, 0.9]]),
+    }
+
+
+class TestOwnedCopies:
+    """Each value type keeps a private read-only copy of the caller's arrays."""
+
+    @pytest.mark.parametrize("kind", sorted(OWNERS))
+    def test_caller_array_stays_writable_and_detached(self, kind):
+        make, attrs = OWNERS[kind]
+        arrays = _caller_arrays()
+        obj = make(arrays)
+        for key, attr in attrs.items():
+            arrays[key][0] = 0.8  # once "assignment destination is read-only"
+            assert getattr(obj, attr)[0].tolist() != arrays[key][0].tolist()
+            assert not getattr(obj, attr).flags.writeable
+
+    @pytest.mark.parametrize("kind", sorted(OWNERS))
+    def test_write_to_the_base_of_a_view_does_not_reach_the_object(self, kind):
+        make, attrs = OWNERS[kind]
+        bases = {k: np.concatenate((v, v), axis=-1) for k, v in _caller_arrays().items()}
+        views = {k: v[..., : v.shape[-1] // 2] for k, v in bases.items()}
+        obj = make(views)
+        for key, attr in attrs.items():
+            bases[key][0] = math.nan
+            assert np.all(np.isfinite(getattr(obj, attr)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DiscreteSource([-1.0, 1.0], 2, [[0.5], [0.0, 0.5]]),
+            lambda: Channel([[1.0, 0.0], [1.0]]),
+            lambda: DiscreteDistribution([0.0, 1.0], [[0.5], [0.5, 0.0]]),
+            lambda: cond_entropy_discrete([[0.5, 0.0], [0.5]]),
+        ],
+        ids=["source_pmf", "channel", "distribution_probs", "cond_entropy"],
+    )
+    def test_ragged_rows_raise_parameter_error(self, make):
+        with pytest.raises(ParameterError, match="rectangular"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DiscreteDistribution([0.0, 10**400], [0.5, 0.5]),
+            lambda: DiscreteSource([-1.0, 10**400], 2, [[0.5, 0.0], [0.0, 0.5]]),
+            lambda: Channel([[1.0, 0.0], [10**400, 0.0]]),
+        ],
+        ids=["distribution", "source", "channel"],
+    )
+    def test_int_past_float_range_raises_parameter_error(self, make):
+        with pytest.raises(ParameterError):  # once an OverflowError
+            make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DiscreteDistribution([], []),
+            lambda: DiscreteSource([[-1.0, 1.0]], 2, [[0.5, 0.0], [0.0, 0.5]]),
+            lambda: Channel([0.5, 0.5]),
+            lambda: Channel([[]]),
+            lambda: cond_entropy_discrete([0.5, 0.5]),
+        ],
+        ids=["empty_distribution", "source_rank", "channel_rank", "empty_channel", "joint_rank"],
+    )
+    def test_wrong_rank_or_empty_raises_parameter_error(self, make):
+        with pytest.raises(ParameterError, match="non-empty rank-"):
+            make()
+
+
 class TestMMSEReduction:
     def test_identity_encoder(self):
         src = flip_source()

@@ -3,7 +3,7 @@
 Each oracle evaluates one grid point or one decoder at a time with explicit
 Python loops and walks the decoders with its own odometer, so it shares no
 code with ``rdclab._kernels`` beyond the scalar quantile-coupling loop,
-``_w2_quantile_py``, which the row kernel ``_w2_rows`` must match bit for bit.
+``w2_quantile_pairs``, which the row kernel ``_w2_rows`` must match bit for bit.
 Three more references keep forms that faster ones replaced: the full-array
 grid scan, the per-decoder product form of the entropy kernel and the
 frontier filter that sorts every point.
@@ -233,7 +233,7 @@ def _outer_scan_py(rows, n_z, row_d, p_z, vals, p_xtilde, residual, tol):
             w = p_z[z]
             for k in range(m):
                 p_xhat[k] += w * rows[r, k]
-        w2 = _kernels._w2_quantile_py(vals, p_xtilde, vals, p_xhat)
+        w2 = _kernels.w2_quantile_pairs(vals, p_xtilde, vals, p_xhat)
         slack = _decoder_d_py(row_d, idx) - residual - w2
         if slack < min_slack:
             min_slack = slack
@@ -428,7 +428,7 @@ class TestAgainstLoopOracles:
     def test_w2_rows_bitwise(self, case):
         xv, xp, yv, rows = case
         got = _kernels._w2_rows(xv, xp, yv, rows)
-        want = np.array([_kernels._w2_quantile_py(xv, xp, yv, p) for p in rows])
+        want = np.array([_kernels.w2_quantile_pairs(xv, xp, yv, p) for p in rows])
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_w2_quantile(self):
