@@ -5,11 +5,13 @@ finite-alphabet region machinery, quantitative corner bounds, and Monte Carlo
 plus brute-force oracles for all of it.  All rates and entropies are in nats;
 distortion is mean squared error.
 
-``import rdclab`` loads no numpy: ``errors`` and the Gaussian modules need
-only ``math``.  numpy loads on first use of ``discrete_region``,
-``validation_oracles``, ``_kernels`` (``grid_oracle_rate`` calls it) or the
-``bounds_eval`` harness, whose names the package serves on first access;
-scipy on the first call of ``w2_squared_lp`` or ``discretize_gaussian``.
+``import rdclab`` loads no numpy: ``errors``, the Gaussian modules and
+``bounds_eval`` need only ``math``.  numpy loads on first use of
+``discrete_region``, ``validation_oracles`` or ``_kernels``
+(``grid_oracle_rate`` calls it), whose names the package serves on first
+access, as it does those of ``bounds_eval``; ``scipy.optimize`` and
+``scipy.special`` load on the first call of ``w2_squared_lp`` or
+``discretize_gaussian``, and ``scipy.stats`` never.
 """
 
 import importlib
@@ -56,7 +58,8 @@ from .universal_gaussian import (
 )
 
 # Served on first access (PEP 562), each name from the module that defines it:
-# the modules that use numpy (bounds_eval in its Gaussian harness only).
+# the modules that use numpy, and bounds_eval, which only `bounds` needs (building
+# its dataclasses takes a few milliseconds).
 _LAZY = {
     "HarnessRecord": "bounds_eval",
     "Theorem5Instance": "bounds_eval",

@@ -31,6 +31,7 @@ its value is still about -0.061*var_x.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ParameterError, check_finite, check_nonneg, checked_square
@@ -115,6 +116,64 @@ def upper_left_bounds(inst: Theorem5Instance) -> tuple[float, float]:
     return gap_ub, ratio_ub
 
 
+def _seed_state(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)`` for an int
+    seed >= 0: the seed's 32-bit words, little-endian, hashed into a 4-word
+    pool and drawn out as eight words, paired into four little-endian uint64s."""
+    m32 = 0xFFFFFFFF
+    entropy = [seed >> k & m32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * 0x931E8875 & m32
+        value = value * h & m32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    h, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = h * 0x58F38DED & m32
+        value = value * h & m32
+        words.append(value ^ value >> 16)
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _uniform_draws(seed: int, n: int, low: float, high: float) -> list[float]:
+    """``np.random.default_rng(seed).uniform(low, high, n).tolist()`` bit for bit.
+
+    PCG64 (O'Neill, HMC-CS-2014-0905) seeded from ``_seed_state``: a 128-bit
+    LCG whose XSL-RR output gives 64 bits per draw, of which the top 53 make
+    the double.  NumPy keeps both algorithms fixed (NEP 19), so exact integer
+    arithmetic reproduces its stream without importing it.
+    """
+    m64, m128 = (1 << 64) - 1, (1 << 128) - 1
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    s_hi, s_lo, i_hi, i_lo = _seed_state(seed)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & m128
+    state = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & m128  # state 0, step, add seed, step
+    span, draws = high - low, []
+    for _ in range(n):
+        state = (state * mult + inc) & m128
+        x, rot = (state >> 64 ^ state) & m64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & m64
+        draws.append(low + span * ((x >> 11) * 2.0**-53))
+    return draws
+
+
 @dataclass(frozen=True)
 class HarnessRecord:
     """One fully evaluated Gaussian instance with every bound and check."""
@@ -141,24 +200,28 @@ def theorem5_gaussian_harness(
     """Evaluate every corner bound on rate-indexed Gaussian instances.
 
     With ``rate`` given, all ``n`` instances use it; otherwise rates are drawn
-    uniformly from (0.01, 2.5) under ``seed``.  Per instance: D1 = D3 =
-    var_x*e^{-2R}, sigma_xhat3 = sigma_x*sqrt(1-e^{-2R}) from the rate-R
-    minimum-MSE decoder, C3 = c_threshold(R), and D_b the MSE at gamma* =
-    Cov(X, Z), the least distortion at the least loss, which every nonzero
-    gain reaches.  Rate 0 is flagged degenerate.  The seed must be >= 0.
+    uniformly from (0.01, 2.5) under ``seed``, as numpy's ``default_rng(seed)``
+    draws them.  Per instance: D1 = D3 = var_x*e^{-2R}, sigma_xhat3 =
+    sigma_x*sqrt(1-e^{-2R}) from the rate-R minimum-MSE decoder, C3 =
+    c_threshold(R), and D_b the MSE at gamma* = Cov(X, Z), the least
+    distortion at the least loss, which every nonzero gain reaches.  Rate 0 is
+    flagged degenerate.  The seed must be an integer >= 0 (a numpy integer
+    too; a bool is refused).
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
+    try:
+        if isinstance(seed, bool):
+            raise TypeError
+        seed = operator.index(seed)
+    except TypeError:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}") from None
     check_nonneg("seed", seed)
     if rate is not None:
         check_nonneg("rate", rate)
-    import numpy as np  # the harness's PCG64 draws; the bounds themselves are math
-
-    rng = np.random.default_rng(seed)
-    rates = np.full(n, float(rate)) if rate is not None else rng.uniform(0.01, 2.5, n)
+    rates = [float(rate)] * n if rate is not None else _uniform_draws(seed, n, 0.01, 2.5)
     records = []
     for r in rates:
-        r = float(r)
         rep = encoder_for_rate(src, r)
         d1 = d3 = src.var_x * math.exp(-2.0 * r)
         gain = mmse_gain(rep)

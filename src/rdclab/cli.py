@@ -160,7 +160,11 @@ def load_discrete_source(path: str | Path):
         s_size=payload["s_size"],
         pmf=_number_array(payload, "pmf", 2),
     )
-    encoder = discrete_region.Channel(_number_array(payload, "encoder", 2))
+    matrix = _number_array(payload, "encoder", 2)
+    try:  # the constructor's messages say "channel matrix"; name the field
+        encoder = discrete_region.Channel(matrix)
+    except ParameterError as exc:
+        raise ParameterError(f"source file: encoder: {exc}") from None
     if encoder.n_in != src.x_values.size:
         raise ParameterError("encoder row count must match x_values length")
     return src, encoder

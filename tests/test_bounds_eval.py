@@ -20,6 +20,7 @@ from rdclab import (
     theorem5_gaussian_harness,
     upper_left_bounds,
 )
+from rdclab.bounds_eval import _uniform_draws
 
 UNIT = GaussianPairSource(0.0, 1.0, 0.0, 1.0, 0.7)
 R_STAR = 0.3366722766318828
@@ -146,6 +147,45 @@ class TestHarness:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="seed"):
             theorem5_gaussian_harness(UNIT, seed=-1, n=2)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", [1, 2], True, np.True_])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            theorem5_gaussian_harness(UNIT, seed=seed, n=2)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = theorem5_gaussian_harness(UNIT, seed=np.int64(5), n=4)
+        assert a == theorem5_gaussian_harness(UNIT, seed=5, n=4)
+
+
+# Seeds whose 32-bit word count changes, or that fill more than the 4-word pool.
+WORD_BOUNDARY_SEEDS = [
+    0, 2**31 - 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**100 + 12345,
+    2**128 - 1, 2**128, 2**200 + 7,
+]
+
+
+def _numpy_rates(seed, n):
+    return np.random.default_rng(seed).uniform(0.01, 2.5, n).tolist()
+
+
+class TestRateStream:
+    """The harness draws its rates from a pure-Python PCG64 stream; numpy's
+    ``default_rng(seed).uniform`` is the oracle it must equal bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 2**130 - 1), st.integers(1, 300))
+    def test_matches_numpy(self, seed, n):
+        assert _uniform_draws(seed, n, 0.01, 2.5) == _numpy_rates(seed, n)
+
+    @pytest.mark.parametrize("seed", WORD_BOUNDARY_SEEDS)
+    def test_word_boundary_seeds(self, seed):
+        assert _uniform_draws(seed, 50, 0.01, 2.5) == _numpy_rates(seed, 50)
+
+    def test_harness_rates_are_the_stream(self):
+        for seed in (0, 5, 123456789, 10**23 - 1):
+            rates = [r.rate for r in theorem5_gaussian_harness(UNIT, seed=seed, n=20)]
+            assert rates == _numpy_rates(seed, 20)
 
 
 class TestLimitingRegimes:

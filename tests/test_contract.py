@@ -382,7 +382,7 @@ _FLIP = BASE_SOURCES[0]  # the bundled source
     [
         pytest.param({**_FLIP, "x_values": "ab"}, None, id="x_values_string"),
         pytest.param({**_FLIP, "pmf": "x"}, None, id="pmf_string"),
-        pytest.param({**_FLIP, "encoder": [[1, 0], [0]]}, None, id="ragged_encoder"),
+        pytest.param({**_FLIP, "encoder": [[1, 0], [0]]}, "encoder", id="ragged_encoder"),
         pytest.param({**_FLIP, "s_size": None}, None, id="s_size_null"),
         pytest.param(5, None, id="top_level_number"),
         pytest.param(None, None, id="top_level_null"),
@@ -391,11 +391,15 @@ _FLIP = BASE_SOURCES[0]  # the bundled source
         pytest.param({**_FLIP, "pmf": [[0.5], [0.0, 0.5]]}, "pmf", id="ragged_pmf"),
         pytest.param({**_FLIP, "x_values": [-1.0, 10**400]}, "x_values", id="x_past_float_range"),
         pytest.param({**_FLIP, "encoder": [[True, 0.0], [0.0, 1.0]]}, "encoder", id="bool_encoder"),
+        pytest.param(
+            {**_FLIP, "encoder": [[1, 0], [0, 10**400]]}, "encoder", id="encoder_past_float_range"
+        ),
+        pytest.param({**_FLIP, "encoder": [[0.5, 0.6], [0, 1]]}, "encoder", id="encoder_row_sum"),
     ],
 )
 def test_source_schema_faults_exit_3(payload, field, tmp_path, capsys):
     # The first eight once exited 1 with a traceback or, for the s_size pair,
-    # ran on a silently coerced s_size.  The last three name their field.
+    # ran on a silently coerced s_size.  Each case with a field names it.
     source = tmp_path / "source.json"
     source.write_text(json.dumps(payload))
     argv = ["discrete-region", "--source", str(source), "--levels", "3"]

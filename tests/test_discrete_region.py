@@ -287,6 +287,15 @@ class TestTransport:
         assert d.mean() == pytest.approx(0.3, abs=1e-9)
         assert d.variance() == pytest.approx(2.0, abs=1e-3)
 
+    def test_discretize_gaussian_matches_norm_ppf(self):
+        # The oracle: scipy.stats' quantile, which the library no longer imports.
+        from scipy.stats import norm
+
+        for n in (*range(1, 300), 999, 1000, 1001, 4096, 10_000, 10_001, 65_537):
+            want = 0.5 + math.sqrt(2.0) * norm.ppf((np.arange(n) + 0.5) / n)
+            got = discretize_gaussian(0.5, 2.0, n).support
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestOuterBound:
     def test_mmse_decoder_equality(self):

@@ -1,13 +1,15 @@
 """Start-up: which of numpy and scipy `import rdclab` and each CLI subcommand load.
 
 ``import rdclab`` and the Gaussian subcommands (``gauss-curves``,
-``discrepancy-report``) load neither: the Gaussian modules need only ``math``
-and the package serves the names of its numpy-backed modules on first
-access.  ``bounds`` loads numpy for its seeded rate draws and
-``discrete-region`` for its arrays.  scipy is imported inside
-``w2_squared_lp`` and ``discretize_gaussian`` on their first call, so no
-subcommand loads it.  Each check runs in a fresh interpreter, because this
-test process has long since imported numpy and scipy through other tests.
+``discrepancy-report``, ``bounds``) load neither: the Gaussian modules and
+``bounds_eval`` need only ``math`` (the harness draws its seeded rates from a
+pure-Python PCG64 stream), and the package serves the names of its
+numpy-backed modules on first access.  ``discrete-region`` loads numpy for
+its arrays.  scipy is imported inside ``w2_squared_lp`` and
+``discretize_gaussian`` on their first call, so no subcommand loads it, and
+``scipy.stats`` is never imported.  Each check runs in a fresh interpreter,
+because this test process has long since imported numpy and scipy through
+other tests.
 """
 
 import json
@@ -60,7 +62,7 @@ SUBCOMMANDS = {
 LOADS = {
     "gauss-curves": [],
     "discrepancy-report": [],
-    "bounds": ["numpy"],
+    "bounds": [],
     "discrete-region": ["numpy"],
 }
 
@@ -131,6 +133,7 @@ def test_scipy_functions_unchanged_after_cold_import():
         "    'sha10000': hashlib.sha256(\n"
         "        discretize_gaussian(0.5, 2.0).support.tobytes()).hexdigest(),\n"
         "    'scipy': 'scipy' in sys.modules,\n"
+        "    'scipy.stats': 'scipy.stats' in sys.modules,\n"
         "}))\n"
     )
     got = json.loads(fresh_python(code))
@@ -144,3 +147,4 @@ def test_scipy_functions_unchanged_after_cold_import():
         "f0d09b1cdd15869e77a16de5656224e5781f6edb2eac7312d6321e4a8f3fe141"
     )
     assert got["scipy"]
+    assert not got["scipy.stats"]  # ~1.5 s and ~23 MB that neither function needs

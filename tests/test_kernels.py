@@ -259,6 +259,29 @@ FLIP = (
 )
 
 
+def _w2_on_numpy_scalars(xv, xp, yv, yp):
+    """The scalar quantile loop as it ran on numpy scalars, indexing the arrays."""
+    i = j = 0
+    mi, mj, cost = xp[0], yp[0], 0.0
+    while True:
+        m = mi if mi < mj else mj
+        diff = xv[i] - yv[j]
+        cost += m * diff * diff
+        mi -= m
+        mj -= m
+        if mi <= 0.0:
+            i += 1
+            if i >= len(xv):
+                break
+            mi = xp[i]
+        if mj <= 0.0:
+            j += 1
+            if j >= len(yv):
+                break
+            mj = yp[j]
+    return float(cost)
+
+
 def flip_arrays(levels=6):
     _, vals, rows, row_d, b = _grid(*FLIP, levels)
     return (rows, row_d, b), vals
@@ -442,6 +465,23 @@ class TestAgainstLoopOracles:
             assert _kernels.w2_quantile_pairs(xv, xp, yv, yp) == pytest.approx(
                 _w2_quantile_integral(xv, xp, yv, yp), abs=1e-14
             )
+
+
+    def test_w2_quantile_floats_match_numpy_scalars(self):
+        # Python floats and numpy float64 scalars round alike, so converting the
+        # inputs to lists keeps every cost bitwise.
+        rng = np.random.default_rng(11)
+        for k in range(400):
+            n, m = (32, 32) if k % 2 else rng.integers(1, 40, 2)
+            xv, yv = np.sort(rng.normal(size=n)), np.sort(rng.normal(size=m))
+            xp, yp = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            if k % 3 == 0 and n > 1:  # a zero-mass atom
+                xp[rng.integers(0, n)] = 0.0
+                xp /= xp.sum()
+            got = _kernels.w2_quantile_pairs(xv, xp, yv, yp)
+            want = _w2_on_numpy_scalars(xv, xp, yv, yp)
+            assert type(got) is float
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 def _normalised(weights):
