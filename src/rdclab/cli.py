@@ -21,14 +21,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import gaussian_tradeoff, universal_gaussian
 from .errors import InfeasibleBudgetError, ParameterError, RdcError, SizeGuardError, check_scale
-from .gaussian_model import GaussianPairSource
+
+# Each subcommand imports the modules it runs: discrete-region loads no Gaussian
+# module, and the Gaussian subcommands load no numpy.
 
 CURVE_HEADER = "curve_id,model,rate_nats,c_nats,d,branch"
 
@@ -97,25 +100,46 @@ def read_curve_csv(path: str | Path) -> list[CurveRecord]:
     return records
 
 
-def _json_safe(obj):
-    """Replace non-finite floats with their string literals for strict JSON;
-    numpy scalars and arrays become Python values through ``tolist()``."""
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return _json_safe(obj.tolist())
+def _encode(obj, out: list[str], pad: str) -> None:
+    """Append obj's text at the indent that ``pad`` ends with, as ``json.dumps(obj,
+    indent=2, sort_keys=True)`` writes it, except that non-finite floats become the
+    strings "inf", "-inf" and "nan" and numpy values their ``tolist()``.  Keys are
+    strings.  With ``indent`` that call runs CPython's pure-Python encoder."""
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-    return obj
+        out.append(float.__repr__(obj) if math.isfinite(obj) else
+                   '"nan"' if obj != obj else '"inf"' if obj > 0 else '"-inf"')
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict) and obj:
+        inner, sep = pad + "  ", "{"
+        for key in sorted(obj):
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], out, inner)
+            sep = ","
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner, sep = pad + "  ", "["
+        for value in obj:
+            out.append(sep + inner)
+            _encode(value, out, inner)
+            sep = ","
+        out.append(pad + "]")
+    elif isinstance(obj, (dict, list, tuple)):
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif hasattr(obj, "tolist"):
+        _encode(obj.tolist(), out, pad)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, obj) -> None:
-    _write_text(path, json.dumps(_json_safe(obj), indent=2, sort_keys=True) + "\n")
+    out: list[str] = []
+    _encode(obj, out, "\n")
+    _write_text(path, "".join(out) + "\n")
 
 
 def bundled_source_path(name: str = "flip01_source") -> Path:
@@ -179,8 +203,11 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return [start + k * step for k in range(div)] + [stop]
 
 
-def _gaussian_source(args) -> GaussianPairSource:
-    """The (X, S) pair of the Gaussian subcommands, checked before any other flag."""
+def _gaussian_source(args):
+    """The (X, S) ``GaussianPairSource`` of the Gaussian subcommands, checked
+    before any other flag."""
+    from .gaussian_model import GaussianPairSource
+
     if abs(args.rho) >= 1.0:
         raise InfeasibleBudgetError(f"|rho| = {abs(args.rho)} >= 1 is not a correlation")
     if args.sigma_x <= 0.0 or args.sigma_s <= 0.0:
@@ -197,6 +224,8 @@ def _gaussian_source(args) -> GaussianPairSource:
 
 
 def cmd_gauss_curves(args) -> int:
+    from . import gaussian_tradeoff, universal_gaussian
+
     src = _gaussian_source(args)
     rates = args.rates
     if not rates or any(r < 0.0 for r in rates):
@@ -243,6 +272,8 @@ def cmd_gauss_curves(args) -> int:
 
 
 def cmd_discrepancy_report(args) -> int:
+    from . import gaussian_tradeoff
+
     src = _gaussian_source(args)
     if args.grid_c < 2 or args.grid_r < 2:
         raise ParameterError("--grid-c and --grid-r must be >= 2")
@@ -292,6 +323,12 @@ def cmd_discrepancy_report(args) -> int:
 
 
 def cmd_discrete_region(args) -> int:
+    # Its BLAS products are small beside the decoder scans, which use no BLAS, so
+    # a BLAS thread pool would cost start-up CPU and save nothing.  A caller's
+    # thread setting stands.
+    blas_threads = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+    if "numpy" not in sys.modules and not blas_threads & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from . import discrete_region
 
     src, encoder = load_discrete_source(args.source)

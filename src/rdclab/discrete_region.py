@@ -310,7 +310,7 @@ def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 def default_xhat_values(src: DiscreteSource, red: MMSEReduction) -> np.ndarray:
     """Reconstruction alphabet: MMSE atoms of ``red`` joined with the source's."""
-    return np.union1d(red.p_xtilde.support, src.x_values)
+    return _kernels.sorted_unique(np.concatenate((red.p_xtilde.support, src.x_values)))
 
 
 def deterministic_decoder(

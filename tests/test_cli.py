@@ -18,6 +18,7 @@ from rdclab.cli import (
     main,
     read_curve_csv,
     write_curve_csv,
+    write_json,
 )
 
 HB01 = 0.32508297339144824
@@ -351,3 +352,63 @@ class TestNumpyFreeGrids:
     def test_sorted_sets_match_unique_and_union1d(self, values, extra):
         assert sorted(set(values)) == np.unique(values).tolist()
         assert sorted({*values, extra}) == np.union1d(values, [extra]).tolist()
+
+
+def _json_safe(obj):
+    """The writer's former first pass, kept as its oracle: non-finite floats to
+    their string literals, numpy scalars and arrays through ``tolist()``."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if hasattr(obj, "tolist"):
+        return _json_safe(obj.tolist())
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+    return obj
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+JSON_LEAVES = st.one_of(
+    ANY_FLOAT,
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-320, 1e300]),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.text(),  # quotes, backslashes, control characters and non-ASCII
+    ANY_FLOAT.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(ANY_FLOAT, max_size=4).map(np.array),
+    st.lists(st.lists(ANY_FLOAT, min_size=2, max_size=2), max_size=3).map(np.array),
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(doc=JSON_DOCS)
+    @example(doc={})
+    @example(doc=[])
+    @example(doc={"a": [], "b": {}, "c": [{}], "d": {"e": ()}})
+    @example(doc={"z": -0.0, "y": [math.nan, math.inf, -math.inf], "é\n\"": None})
+    def test_write_json_equals_json_dumps(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "doc.json"  # rewritten by each example
+        write_json(path, doc)
+        want = json.dumps(_json_safe(doc), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == want
+
+    def test_unserializable_value_raises(self, tmp_path):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(tmp_path / "x.json", {"a": object()})

@@ -1,15 +1,18 @@
-"""Start-up: which of numpy and scipy `import rdclab` and each CLI subcommand load.
+"""Start-up: which modules `import rdclab` and each CLI subcommand load, and
+what a subcommand leaves running.
 
-``import rdclab`` and the Gaussian subcommands (``gauss-curves``,
-``discrepancy-report``, ``bounds``) load neither: the Gaussian modules and
-``bounds_eval`` need only ``math`` (the harness draws its seeded rates from a
-pure-Python PCG64 stream), and the package serves the names of its
-numpy-backed modules on first access.  ``discrete-region`` loads numpy for
-its arrays.  scipy is imported inside ``w2_squared_lp`` and
+``import rdclab`` loads ``rdclab.errors`` and nothing else; the package serves
+every other name, and each module, on first access.  Each subcommand imports
+the modules it runs: the Gaussian ones (``gauss-curves``,
+``discrepancy-report``, ``bounds``) load only Gaussian modules and ``math``
+(the harness draws its seeded rates from a pure-Python PCG64 stream), and
+``discrete-region`` loads numpy, ``discrete_region`` and ``_kernels``, without
+``numpy.ma``.  scipy is imported inside ``w2_squared_lp`` and
 ``discretize_gaussian`` on their first call, so no subcommand loads it, and
-``scipy.stats`` is never imported.  Each check runs in a fresh interpreter,
-because this test process has long since imported numpy and scipy through
-other tests.
+``scipy.stats`` is never imported.  ``discrete-region`` asks OpenBLAS for one
+thread unless its caller set a thread count.  Each check runs in a fresh
+interpreter, because this test process has long since imported numpy and
+scipy through other tests.
 """
 
 import json
@@ -32,10 +35,15 @@ HEAVY_MODULES = (
 )
 
 
-def fresh_python(code: str) -> str:
-    """Run code in a new interpreter that imports rdclab from this checkout."""
-    env = dict(os.environ)
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(code: str, **env_vars: str) -> str:
+    """Run code in a new interpreter that imports rdclab from this checkout, with
+    no BLAS thread count but the ones given; returns its last stdout line."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_vars)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
@@ -46,6 +54,16 @@ def fresh_python(code: str) -> str:
 
 def test_import_rdclab_loads_no_scipy():
     assert json.loads(fresh_python("import rdclab\n" + HEAVY_MODULES)) == []  # nor numpy
+
+
+def test_import_rdclab_loads_only_errors():
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import rdclab\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert json.loads(fresh_python(code)) == ["rdclab", "rdclab.errors"]
 
 
 SUBCOMMANDS = {
@@ -67,22 +85,98 @@ LOADS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
-def test_subcommand_loads_no_scipy(name, tmp_path):
-    # As `python -m rdclab.cli` runs it: the package __init__, then the CLI.
+# The package modules and numpy parts each subcommand loads, of those watched.
+MODULES = {
+    "gauss-curves": ["gaussian_model", "gaussian_tradeoff", "universal_gaussian"],
+    "discrepancy-report": ["gaussian_model", "gaussian_tradeoff"],
+    "bounds": ["bounds_eval", "gaussian_model", "gaussian_tradeoff", "universal_gaussian"],
+    "discrete-region": ["_kernels", "discrete_region", "numpy"],
+}
+WATCHED_MODULES = (
+    "import json, sys\n"
+    "watched = {'numpy', 'numpy.ma', *(f'rdclab.{m}' for m in ('_kernels', 'bounds_eval',\n"
+    "    'discrete_region', 'gaussian_model', 'gaussian_tradeoff', 'universal_gaussian',\n"
+    "    'validation_oracles'))}\n"
+    "print(json.dumps(sorted(m.removeprefix('rdclab.') for m in watched & set(sys.modules))))\n"
+)
+
+
+def cli_code(name: str, tmp_path, report: str, levels: str = "3") -> str:
+    """Code running one subcommand as `python -m rdclab.cli` does (the package
+    __init__, then the CLI), then ``report``."""
     argv = [
         a.format(out=str(tmp_path / "out"), flip01=str(bundled_source_path()))
         for a in SUBCOMMANDS[name]
     ]
-    code = (
+    if name == "discrete-region":
+        argv[argv.index("--levels") + 1] = levels
+    return (
         "import runpy, sys\n"
         f"sys.argv = {['rdclab', *argv]!r}\n"
         "try:\n"
         "    runpy.run_module('rdclab.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n" + HEAVY_MODULES
+        "    assert exc.code == 0, exc.code\n" + report
     )
-    assert json.loads(fresh_python(code)) == LOADS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_subcommand_loads_no_scipy(name, tmp_path):
+    assert json.loads(fresh_python(cli_code(name, tmp_path, HEAVY_MODULES))) == LOADS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_subcommand_loads_only_its_modules(name, tmp_path):
+    # discrete-region loads no Gaussian module and no numpy.ma (np.unique and
+    # np.union1d import it); the Gaussian subcommands neither discrete module.
+    got = json.loads(fresh_python(cli_code(name, tmp_path, WATCHED_MODULES)))
+    assert got == MODULES[name]
+
+
+def test_main_in_process_returns_and_leaves_stdout(tmp_path):
+    # The traced benchmark calls main in its own process under redirect_stdout:
+    # a subcommand that exits the process, registers an exit hook or writes to
+    # the real stdout would end it early or add lines after its result.
+    calls = [
+        [a.format(out=str(tmp_path / name), flip01=str(bundled_source_path()))
+         for a in SUBCOMMANDS[name]]
+        for name in sorted(SUBCOMMANDS)
+    ]
+    code = (
+        "import contextlib, io, json\n"
+        "from rdclab.cli import main\n"
+        "codes = []\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps({'sentinel': codes}))\n"
+    )
+    assert json.loads(fresh_python(code)) == {"sentinel": [0, 0, 0, 0]}
+
+
+THREADS = (
+    "print([line.split()[1] for line in open('/proc/self/status')\n"
+    "       if line.startswith('Threads:')][0])\n"
+)
+needs_proc_status = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads /proc/self/status (Linux)"
+)
+
+
+@needs_proc_status
+def test_discrete_region_starts_no_blas_threads(tmp_path):
+    assert fresh_python(cli_code("discrete-region", tmp_path, THREADS)) == "1"
+
+
+@needs_proc_status
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_callers_blas_threads_stand_and_keep_the_bytes(tmp_path):
+    code = cli_code("discrete-region", tmp_path, THREADS, levels="12")
+    assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"
+    golden = Path(__file__).parent / "golden"
+    for ext in ("csv", "json"):
+        got = (tmp_path / f"out.{ext}").read_bytes()
+        assert got == (golden / f"flip01_levels12.{ext}").read_bytes(), ext
 
 
 def test_every_export_resolves_lazily():
@@ -95,7 +189,8 @@ def test_every_export_resolves_lazily():
         "from rdclab import DiscreteSource\n"
         "homes = {n: getattr(rdclab, n).__module__ for n in names}\n"
         "subs = {s: isinstance(getattr(rdclab, s), types.ModuleType) for s in\n"
-        "        ('_kernels', 'bounds_eval', 'discrete_region', 'validation_oracles')}\n"
+        "        ('_kernels', 'bounds_eval', 'discrete_region', 'gaussian_model',\n"
+        "         'gaussian_tradeoff', 'universal_gaussian', 'validation_oracles')}\n"
         "same = all(getattr(sys.modules[homes[n]], n) is getattr(rdclab, n) for n in names)\n"
         "try:\n"
         "    rdclab.no_such_name\n"

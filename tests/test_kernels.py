@@ -589,3 +589,22 @@ class TestDecoderOrder:
         assert n_rows**n_z > _kernels._CHUNK and len(blocks) > 1
         assert max(len(pre) * last.size for pre, last in blocks) <= _kernels._CHUNK
         np.testing.assert_array_equal(digits, want)
+
+
+class TestSortedUnique:
+    """``sorted_unique`` is ``np.unique`` bit for bit: which of -0.0 and 0.0 it
+    keeps follows numpy's sort, so a reconstruction alphabet keeps its zero."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0])),
+                 min_size=1, max_size=200),
+        st.integers(0, 200),
+    )
+    @example([-0.0, 0.5, 0.0], 2)  # an MMSE atom -0.0 joined with a source atom 0.0
+    @example([0.0, 0.5, -0.0], 2)  # and the other way round
+    def test_equals_unique_and_union1d_bitwise(self, values, cut):
+        arr = np.array(values)
+        want = np.union1d(arr[:cut], arr[cut:])
+        assert _kernels.sorted_unique(arr).tobytes() == np.unique(arr).tobytes()
+        assert _kernels.sorted_unique(arr).tobytes() == want.tobytes()
