@@ -16,7 +16,6 @@ Kernels:
   * cond_entropy_terms  - the H(S|.) terms joint * (log marginal - log joint),
                           summed by ``_dc_scan``'s table and by
                           ``discrete_region.cond_entropy_discrete``.
-  * sorted_unique       - ``np.unique`` of a float array without ``numpy.ma``.
 
 The decoder scans walk the grid through ``_blocks``, the one place that
 knows the decoder order; a block broadcasts the last symbol's row over a run
@@ -248,7 +247,7 @@ def _entropy_records(rows, n_z, joint_zs):
     the part of the tuple's index due to symbol z decoding with row r, and
     per tuple the |S| terms of the per-decoder form as one void record.
     """
-    values = sorted_unique(rows)
+    values = np.array(sorted(set(rows.ravel().tolist())))
     inv = np.searchsorted(values, rows)
     u = values.size
     code = inv.reshape(rows.shape).T[None] * u ** np.arange(n_z - 1, -1, -1)[:, None, None]
@@ -258,13 +257,6 @@ def _entropy_records(rows, n_z, joint_zs):
         joint += values[digits[z], None] * joint_zs[z]
     term = cond_entropy_terms(joint, joint.sum(axis=-1)[:, None])
     return code, term.view(np.dtype((np.void, term.itemsize * term.shape[1]))).ravel()
-
-
-def sorted_unique(values):
-    """``np.unique(values)`` bit for bit, signed zeros included (the same sort, and
-    the first of each run of equal values kept), without loading ``numpy.ma``."""
-    aux = np.sort(values, axis=None)
-    return aux[np.append(True, aux[1:] != aux[:-1])]
 
 
 def cond_entropy_terms(joint, marginal):

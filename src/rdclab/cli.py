@@ -323,9 +323,8 @@ def cmd_discrepancy_report(args) -> int:
 
 
 def cmd_discrete_region(args) -> int:
-    # Its BLAS products are small beside the decoder scans, which use no BLAS, so
-    # a BLAS thread pool would cost start-up CPU and save nothing.  A caller's
-    # thread setting stands.
+    # The job makes no BLAS call, so the thread pool that ``import numpy`` starts
+    # would cost start-up CPU and save nothing.  A caller's thread setting stands.
     blas_threads = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
     if "numpy" not in sys.modules and not blas_threads & os.environ.keys():
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -22,13 +22,15 @@ to 12, and ``c_min_solver`` needs ``levels >= 3``.  ``region_report``, which
 the CLI runs, gives what the three and ``extreme_point_a`` give from one
 grid and one (D, C) pass over it.
 
-scipy is imported inside the two functions that use it, ``w2_squared_lp``
-(``scipy.optimize.linprog``) and ``discretize_gaussian``
-(``scipy.special.ndtri``), on their first call.  Each import takes about a
-third of a second, several times the rest of ``import rdclab``, and no CLI
-subcommand calls either function, so a module-level import would make every
-process pay for it.  ``scipy.stats`` is never imported: on top of both it
-adds another 0.4-0.7 s and about 21 MB.
+Two rules make ``discrete-region`` write the same bytes on every x86 host:
+every product is ``_dot``, never a BLAS kernel, which the CPU picks and which
+sums in its own order; and the reconstruction alphabet's zero is +0.0, never
+the -0.0 that a SIMD sort may keep.
+
+scipy is imported inside ``w2_squared_lp`` and ``discretize_gaussian``, which
+no CLI subcommand calls, on their first call: each import takes about a third
+of a second.  ``scipy.stats`` is never imported: it adds another 0.4-0.7 s
+and about 21 MB.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import InfeasibleBudgetError, ParameterError, SizeGuardError, check_not_nan
+from .errors import InfeasibleBudgetError, ParameterError, SizeGuardError, check_nonneg
 
 _STOCHASTIC_TOL = 1e-12
 _MAX_LP_SUPPORT = 64
@@ -48,6 +50,13 @@ _MAX_ALPHABET = 6
 _MAX_LEVELS = 12
 _MAX_DECODER_COMBOS = 2_000_000
 _PARETO_BUCKETS = 1024  # D buckets of the frontier's sort-free prefilter
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for vectors or matrices, by numpy's own multiply and sum."""
+    if b.ndim == 1:
+        return (a * b).sum(axis=-1)
+    return (a[..., None] * b).sum(axis=-2)
 
 
 def _frozen_array(name: str, value, ndim: int) -> np.ndarray:
@@ -96,11 +105,11 @@ class DiscreteDistribution:
         object.__setattr__(self, "probs", probs)
 
     def mean(self) -> float:
-        return float(self.support @ self.probs)
+        return float(_dot(self.support, self.probs))
 
     def variance(self) -> float:
         m = self.mean()
-        return float(((self.support - m) ** 2) @ self.probs)
+        return float(_dot((self.support - m) ** 2, self.probs))
 
 
 @dataclass(frozen=True)
@@ -142,11 +151,11 @@ class DiscreteSource:
         return self.pmf.sum(axis=1)
 
     def mean_x(self) -> float:
-        return float(self.x_values @ self.p_x)
+        return float(_dot(self.x_values, self.p_x))
 
     def var_x(self) -> float:
         m = self.mean_x()
-        return float(((self.x_values - m) ** 2) @ self.p_x)
+        return float(_dot((self.x_values - m) ** 2, self.p_x))
 
 
 @dataclass(frozen=True)
@@ -217,14 +226,14 @@ def _check_encoder(src: DiscreteSource, encoder: Channel) -> None:
 def joint_zs(src: DiscreteSource, encoder: Channel) -> np.ndarray:
     """Joint p(z, s) induced by the source and encoder, shape (n_z, s_size)."""
     _check_encoder(src, encoder)
-    return encoder.matrix.T @ src.pmf
+    return _dot(encoder.matrix.T, src.pmf)
 
 
 def mutual_info_xz(src: DiscreteSource, encoder: Channel) -> float:
     """I(X; Z) of the encoder in nats, by exact enumeration."""
     _check_encoder(src, encoder)
     p_x = src.p_x
-    p_z = p_x @ encoder.matrix
+    p_z = _dot(p_x, encoder.matrix)
     joint = p_x[:, None] * encoder.matrix
     with np.errstate(divide="ignore", invalid="ignore"):
         term = joint * (np.log(joint) - np.log(p_x[:, None]) - np.log(p_z[None, :]))
@@ -240,7 +249,7 @@ def mmse_reduction(src: DiscreteSource, encoder: Channel) -> MMSEReduction:
     """
     _check_encoder(src, encoder)
     p_x = src.p_x
-    p_z = p_x @ encoder.matrix
+    p_z = _dot(p_x, encoder.matrix)
     estimator: dict[int, float] = {}
     mass: dict[float, float] = {}
     residual = 0.0
@@ -248,16 +257,15 @@ def mmse_reduction(src: DiscreteSource, encoder: Channel) -> MMSEReduction:
         if p_z[z] <= 0.0:
             continue
         w = p_x * encoder.matrix[:, z]
-        m = float(w @ src.x_values) / p_z[z]
+        m = float(_dot(w, src.x_values)) / p_z[z]
         estimator[z] = m
         mass[m] = mass.get(m, 0.0) + float(p_z[z])
-        residual += float(w @ (src.x_values - m) ** 2)
-    values = np.array(sorted(mass), dtype=np.float64)
-    probs = np.array([mass[v] for v in values], dtype=np.float64)
-    probs = probs / probs.sum()
+        residual += float(_dot(w, (src.x_values - m) ** 2))
+    values = sorted(mass)
+    probs = np.array([mass[v] for v in values])
     return MMSEReduction(
         estimator=estimator,
-        p_xtilde=DiscreteDistribution(values, probs),
+        p_xtilde=DiscreteDistribution(values, probs / probs.sum()),
         residual=residual,
     )
 
@@ -309,8 +317,9 @@ def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 
 def default_xhat_values(src: DiscreteSource, red: MMSEReduction) -> np.ndarray:
-    """Reconstruction alphabet: MMSE atoms of ``red`` joined with the source's."""
-    return _kernels.sorted_unique(np.concatenate((red.p_xtilde.support, src.x_values)))
+    """Reconstruction alphabet: MMSE atoms of ``red`` joined with the source's, zero as +0.0."""
+    atoms = (*red.p_xtilde.support.tolist(), *src.x_values.tolist())
+    return np.array(sorted({v + 0.0 for v in atoms}))
 
 
 def deterministic_decoder(
@@ -344,17 +353,17 @@ def outer_bound_check(
     vals = default_xhat_values(src, red)
     if decoder.n_in != encoder.n_out or decoder.n_out != vals.size:
         raise ParameterError("decoder shape does not match encoder/alphabet")
-    through = encoder.matrix @ decoder.matrix  # p(x̂ | x), shape (n_x, n_k)
+    through = _dot(encoder.matrix, decoder.matrix)  # p(x̂ | x), shape (n_x, n_k)
     sq = (src.x_values[:, None] - vals[None, :]) ** 2
     d = float((src.p_x[:, None] * through * sq).sum())
-    joint_sk = src.pmf.T @ through  # (n_s, n_k)
+    joint_sk = _dot(src.pmf.T, through)  # (n_s, n_k)
     c = cond_entropy_discrete(joint_sk)
-    p_xhat = src.p_x @ encoder.matrix @ decoder.matrix
+    p_xhat = _dot(_dot(src.p_x, encoder.matrix), decoder.matrix)
     w2 = _kernels.w2_quantile_pairs(
         red.p_xtilde.support, red.p_xtilde.probs, vals, p_xhat
     )
     rhs = red.residual + w2
-    holds = bool(d >= rhs - _kernels.outer_tol(np.concatenate((src.x_values, vals))))
+    holds = bool(d >= rhs - _kernels.outer_tol(vals))
     return OuterBoundReport(
         d=d, c=c, rhs=rhs, holds=holds, residual=red.residual, w2_term=w2
     )
@@ -414,13 +423,13 @@ def _grid(src: DiscreteSource, encoder: Channel, levels: int):
         )
     rows = _simplex_grid(levels, int(vals.size))
     sq = (src.x_values[:, None] - vals[None, :]) ** 2
-    a = encoder.matrix.T @ (src.p_x[:, None] * sq)  # (n_z, n_k)
-    row_d = np.ascontiguousarray(a @ rows.T)  # (n_z, n_rows)
+    a = _dot(encoder.matrix.T, src.p_x[:, None] * sq)  # (n_z, n_k)
+    row_d = _dot(a, rows.T)  # (n_z, n_rows)
     return red, vals, rows, row_d, joint_zs(src, encoder)
 
 
 def _check_c_min_args(d_budget: float, levels: int) -> None:
-    check_not_nan("d_budget", d_budget)
+    check_nonneg("d_budget", d_budget)
     if levels < 3:
         raise ParameterError("levels must be >= 3")
 
@@ -428,7 +437,7 @@ def _check_c_min_args(d_budget: float, levels: int) -> None:
 def _c_min_solution(src, encoder, grid, idx, best_c) -> CMinSolution:
     red, vals, rows = grid[:3]
     decoder = Channel(rows[idx])
-    p_xhat = DiscreteDistribution(vals, src.p_x @ encoder.matrix @ decoder.matrix)
+    p_xhat = DiscreteDistribution(vals, _dot(_dot(src.p_x, encoder.matrix), decoder.matrix))
     return CMinSolution(
         c_min=best_c,
         d_b=red.residual + w2_squared_quantile(red.p_xtilde, p_xhat),
@@ -444,8 +453,8 @@ def c_min_solver(
 
     Decoder rows range over the simplex grid with entries in multiples of
     1/levels; ties break toward the lexicographically first decoder.  A
-    ``d_budget`` of +inf is no budget; NaN is refused.  None when no grid
-    decoder meets the budget.
+    ``d_budget`` of +inf is no budget; NaN and negative budgets are refused
+    (-0.0 is 0).  None when no grid decoder meets the budget.
     """
     _check_c_min_args(d_budget, levels)
     grid = _grid(src, encoder, levels)
@@ -548,7 +557,7 @@ def _outer_sweep(src: DiscreteSource, encoder: Channel, grid) -> tuple[int, floa
     # p_X̃ on the grid alphabet, which holds every MMSE atom.
     p_xt = np.zeros(vals.size)
     p_xt[np.searchsorted(vals, red.p_xtilde.support)] = red.p_xtilde.probs
-    p_z = src.p_x @ encoder.matrix
+    p_z = _dot(src.p_x, encoder.matrix)
     violations, min_slack = _kernels.outer_scan(
         rows, encoder.n_out, row_d, p_z, vals, p_xt, red.residual
     )

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdclab import (
+    Channel,
     GaussianPairSource,
     GaussianReconstruction,
     GaussianRepresentation,
@@ -38,7 +39,7 @@ from rdclab import (
     theorem5_gaussian_harness,
 )
 from rdclab.cli import bundled_source_path, load_discrete_source, main, read_curve_csv
-from rdclab.discrete_region import DiscreteSource, cond_entropy_discrete
+from rdclab.discrete_region import DiscreteSource, cond_entropy_discrete, region_report
 from rdclab.errors import VAR_RANGE, check_finite, check_nonneg, check_not_nan
 from rdclab.gaussian_model import (
     cond_entropy_s_given_xhat,
@@ -88,6 +89,41 @@ class TestChecks:
 def test_nan_is_refused(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("budget", [-1.0, -1e-300, -math.inf])
+@pytest.mark.parametrize(
+    "solver",
+    [
+        pytest.param(c_min_solver, id="c_min_solver"),
+        pytest.param(extreme_point_b, id="extreme_point_b"),
+        pytest.param(region_report, id="region_report"),
+    ],
+)
+def test_negative_discrete_budget_is_refused(solver, budget):
+    # Distortion budgets are >= 0: these once ran and found no decoder.
+    with pytest.raises(ParameterError, match="d_budget must be >= 0"):
+        solver(*FLIP, budget, 4)
+
+
+@pytest.mark.parametrize("budget", ["-1", "-inf"])
+def test_negative_discrete_budget_exits_3(budget, tmp_path, capsys):
+    # These once exited 2, as an infeasible budget does.
+    out = tmp_path / "out"
+    argv = ["discrete-region", "--source", str(bundled_source_path()), "--levels", "3",
+            f"--d-budget={budget}", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: d_budget must be >= 0, got {float(budget)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_zero_discrete_budget_is_zero():
+    # With X sent as is, some decoder meets D = 0.
+    identity = Channel([[1.0, 0.0], [0.0, 1.0]])
+    got, want = (c_min_solver(FLIP[0], identity, zero, 4) for zero in (-0.0, 0.0))
+    assert got.d_b == 0.0
+    assert (got.c_min, got.d_b) == (want.c_min, want.d_b)
+    assert got.decoder.matrix.tobytes() == want.decoder.matrix.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -127,8 +127,9 @@ def test_subcommand_loads_no_scipy(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_subcommand_loads_only_its_modules(name, tmp_path):
-    # discrete-region loads no Gaussian module and no numpy.ma (np.unique and
-    # np.union1d import it); the Gaussian subcommands neither discrete module.
+    # discrete-region loads no Gaussian module and no numpy.ma, which np.unique
+    # and np.union1d would import: its alphabets are sorted Python sets.  The
+    # Gaussian subcommands load neither discrete module.
     got = json.loads(fresh_python(cli_code(name, tmp_path, WATCHED_MODULES)))
     assert got == MODULES[name]
 
@@ -171,12 +172,10 @@ def test_discrete_region_starts_no_blas_threads(tmp_path):
 @needs_proc_status
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 def test_callers_blas_threads_stand_and_keep_the_bytes(tmp_path):
+    # The bytes under a caller's two threads are checked, with every golden,
+    # by test_golden.py's test_discrete_region_bytes_on_every_host.
     code = cli_code("discrete-region", tmp_path, THREADS, levels="12")
     assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"
-    golden = Path(__file__).parent / "golden"
-    for ext in ("csv", "json"):
-        got = (tmp_path / f"out.{ext}").read_bytes()
-        assert got == (golden / f"flip01_levels12.{ext}").read_bytes(), ext
 
 
 def test_every_export_resolves_lazily():
