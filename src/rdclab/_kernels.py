@@ -20,8 +20,10 @@ Kernels:
 The decoder scans walk the grid through ``_blocks``, the one place that
 knows the decoder order; a block broadcasts the last symbol's row over a run
 of prefixes.  ``dc_scan`` gathers H(S|X̂) terms from a table over the values
-an atom's row entries take, far fewer than the decoders.  Loop forms of the
-grid and decoder scans live in ``tests/test_kernels.py`` as reference oracles.
+an atom's row entries take, far fewer than the decoders.  ``dc_scan``'s
+(d, c) are the only grid-sized arrays: their consumers fold them in
+``_CHUNK`` slices.  Loop forms of the grid and decoder scans live in
+``tests/test_kernels.py`` as reference oracles.
 
 ``grid_rate_scan`` bisects each grid row for its budgets' boundaries instead
 of evaluating every point.  Along a row the covariance theta_k is non-decreasing in k, the MSE is
@@ -286,12 +288,16 @@ def dc_scan(rows, n_z, row_d, joint_zs):
 
 def budget_argmin(d, c, d_budget, n_rows, n_z):
     """First decoder (odometer order) minimising c with d <= d_budget: (row
-    indices of the decoder, its c), or (None, inf) if none meets the budget."""
-    masked = np.where(d > d_budget, np.inf, c)
-    k = int(np.argmin(masked))
-    if not masked[k] < np.inf:
-        return None, np.inf
-    return np.array(np.unravel_index(k, (n_rows,) * n_z)), float(masked[k])
+    indices of the decoder, its c), or (None, inf) if none meets the budget.
+    Folds ``_CHUNK`` slices; a slice's least c is kept only when strictly below
+    the best so far, so the first minimiser wins."""
+    best, best_c = None, np.inf
+    for lo in range(0, d.size, _CHUNK):
+        masked = np.where(d[lo : lo + _CHUNK] > d_budget, np.inf, c[lo : lo + _CHUNK])
+        k = int(np.argmin(masked))
+        if masked[k] < best_c:
+            best, best_c = lo + k, float(masked[k])
+    return best if best is None else np.array(np.unravel_index(best, (n_rows,) * n_z)), best_c
 
 
 def cmin_scan(rows, n_z, row_d, joint_zs, d_budget):

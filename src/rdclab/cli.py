@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -144,6 +143,8 @@ def write_json(path: str | Path, obj) -> None:
 
 def bundled_source_path(name: str = "flip01_source") -> Path:
     """Filesystem path of a data file shipped with the package."""
+    from importlib import resources
+
     return Path(resources.files("rdclab").joinpath(f"data/{name}.json"))
 
 

@@ -492,14 +492,19 @@ def _frontier(d_all: np.ndarray, c_all: np.ndarray) -> list[tuple[float, float]]
     """Pareto-minimal (D, C) points, by D: C below every C sorted before it."""
     lo, hi = d_all.min(), d_all.max()
     if hi > lo:
-        # Sort-free prefilter.  The bucket never decreases as D grows, so a
-        # point whose C is not below every C of the lower buckets is dominated.
-        bucket = ((d_all - lo) / (hi - lo) * _PARETO_BUCKETS).astype(np.intp)
+        # Sort-free prefilter, by slices.  The bucket never decreases as D grows,
+        # so a point whose C is not below the running minimum of the lower
+        # buckets (never below the final one) is dominated.
         least = np.full(_PARETO_BUCKETS + 1, math.inf)
-        np.minimum.at(least, bucket, c_all)
-        below = np.minimum.accumulate(np.concatenate(([math.inf], least[:-1])))
-        keep = c_all < below[bucket]
-        d_all, c_all = d_all[keep], c_all[keep]
+        kept = []
+        for i in range(0, d_all.size, _kernels._CHUNK):
+            d, c = d_all[i : i + _kernels._CHUNK], c_all[i : i + _kernels._CHUNK]
+            bucket = ((d - lo) / (hi - lo) * _PARETO_BUCKETS).astype(np.intp)
+            np.minimum.at(least, bucket, c)
+            below = np.minimum.accumulate(np.concatenate(([math.inf], least[:-1])))
+            keep = c < below[bucket]
+            kept.append((d[keep], c[keep]))
+        d_all, c_all = (np.concatenate(part) for part in zip(*kept))
     order = np.lexsort((c_all, d_all))  # by D, ties by C
     d_all, c_all = d_all[order], c_all[order]
     best_before = np.minimum.accumulate(np.concatenate(([math.inf], c_all[:-1])))
@@ -521,7 +526,8 @@ def region_report(src: DiscreteSource, encoder: Channel, d_budget: float, levels
     ``outer_bound_sweep`` and ``mutual_info_xz`` return, as one tuple in that
     order, from one grid.  Refuses as ``region_approx`` and then
     ``c_min_solver`` would, and before the outer scan when no grid decoder
-    meets the budget (``InfeasibleBudgetError``)."""
+    meets the budget (``InfeasibleBudgetError``).  The only grid-sized arrays,
+    ``dc_scan``'s (d, c) at 16 B per decoder, are freed before the outer scan."""
     _check_region_size(src, encoder, levels)
     grid = _grid(src, encoder, levels)
     _check_c_min_args(d_budget, levels)
@@ -532,8 +538,10 @@ def region_report(src: DiscreteSource, encoder: Channel, d_budget: float, levels
         raise InfeasibleBudgetError(
             f"no decoder on the grid meets the distortion budget {d_budget}"
         )
+    frontier = _frontier(d, c)
+    del d, c
     return (
-        _frontier(d, c),
+        frontier,
         _extreme_a(red, b),
         _c_min_solution(src, encoder, grid, idx, best_c),
         _outer_sweep(src, encoder, grid),

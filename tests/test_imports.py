@@ -38,14 +38,15 @@ HEAVY_MODULES = (
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def fresh_python(code: str, **env_vars: str) -> str:
-    """Run code in a new interpreter that imports rdclab from this checkout, with
-    no BLAS thread count but the ones given; returns its last stdout line."""
+def fresh_python(code: str, *flags: str, **env_vars: str) -> str:
+    """Run code in a new interpreter, started with ``flags``, that imports rdclab
+    from this checkout, with no BLAS thread count but the ones given; returns
+    its last stdout line."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.update(env_vars)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -64,6 +65,13 @@ def test_import_rdclab_loads_only_errors():
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     assert json.loads(fresh_python(code)) == ["rdclab", "rdclab.errors"]
+
+
+def test_cli_loads_no_importlib_resources():
+    # Only bundled_source_path needs it.  -S keeps out site, whose .pth files
+    # may import it first.
+    code = "import sys\nimport rdclab.cli\nprint('importlib.resources' in sys.modules)\n"
+    assert fresh_python(code, "-S") == "False"
 
 
 SUBCOMMANDS = {

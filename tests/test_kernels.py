@@ -11,6 +11,7 @@ frontier filter that sorts every point.
 
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdclab import _kernels
-from rdclab.cli import load_discrete_source
+from rdclab.cli import bundled_source_path, load_discrete_source
 from rdclab.discrete_region import (
     Channel,
     DiscreteSource,
@@ -594,3 +595,88 @@ class TestDecoderOrder:
         assert max(len(pre) * last.size for pre, last in blocks) <= _kernels._CHUNK
         np.testing.assert_array_equal(digits, want)
 
+
+class TestChunkBoundaries:
+    """The slice folds of ``budget_argmin`` and the frontier's prefilter at a
+    7-decoder ``_CHUNK``, so that slices split C-ties and put a dominator and
+    the points it dominates on either side of a boundary; ``dc_scan``'s bits
+    do not depend on ``_CHUNK``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0)),
+                st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @example([(0.5, 0.25 * (k % 3)) for k in range(20)])  # every D equal
+    @example([(0.5, 0.25), (1.0, 0.0)] * 10)  # duplicate points
+    @example([(1.0 + k / 16, 0.5) for k in range(16)] + [(0.5, 0.25)])  # dominator last
+    def test_frontier_matches_the_sorted_frontier(self, points):
+        d, c = (np.array(v) for v in zip(*points))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_CHUNK", 7)
+            assert _frontier(d, c) == _frontier_lexsort(d, c)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(small_sources())
+    @example((*FLIP, 3, math.inf))  # the least C ties in slices 0 and 1
+    @example((*FLIP, 3, -1.0))  # no decoder meets the budget
+    def test_budget_argmin_matches_the_loop(self, case):
+        src, enc, levels, where = case
+        _, _, rows, row_d, b = _grid(src, enc, levels)
+        n_z = enc.n_out
+        d, c = _kernels.dc_scan(rows, n_z, row_d, b)
+        if where < 0.0:  # the largest budget below the least D, or 0 when that is 0
+            budget = float(np.nextafter(d.min(), 0.0))
+        else:
+            budget = d.min() + where * (d.max() - d.min()) if where <= 1.0 else where
+        flat, c_ref = _cmin_scan_py(rows, n_z, row_d, b, budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_CHUNK", 7)
+            idx, c_min = _kernels.budget_argmin(d, c, budget, rows.shape[0], n_z)
+        assert c_min == c_ref
+        assert (idx is None) == (flat < 0)
+        if flat >= 0:
+            assert tuple(idx) == np.unravel_index(flat, (rows.shape[0],) * n_z)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_dc_scan_bits_do_not_depend_on_the_chunk(self, chunk):
+        # 15 rows and three encoder symbols: 3,375 decoders
+        src, enc = load_discrete_source(GOLDEN / "x2_s2_z3_source.json")
+        _, _, rows, row_d, b = _grid(src, enc, 2)
+        want = _kernels.dc_scan(rows, 3, row_d, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_CHUNK", chunk)
+            got = _kernels.dc_scan(rows, 3, row_d, b)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_region_report_memory(monkeypatch):
+    # No timing: tracemalloc counts numpy's buffers.  dc_scan's (d, c), 16 B per
+    # decoder, are the only grid-sized arrays, everything else is bounded by the
+    # block size, and both are freed before the outer scan starts.
+    src, enc = load_discrete_source(bundled_source_path())
+    region_report(src, enc, 0.5, 3)  # first-call set-up is not the job's
+    held = []
+    outer_scan = _kernels.outer_scan
+
+    def traced_outer_scan(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return outer_scan(*args)
+
+    monkeypatch.setattr(_kernels, "outer_scan", traced_outer_scan)
+    tracemalloc.start()
+    try:
+        *_, (_, _, decoders), _ = region_report(src, enc, 0.5, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoders == 207_025
+    assert peak <= 16 * decoders + 2_000_000
+    assert held[0] < 8 * decoders
