@@ -32,34 +32,27 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
-from .errors import ParameterError, check_finite, check_nonneg, checked_square
+from .errors import Frozen, ParameterError, check_finite, check_nonneg, checked_square
 from .gaussian_model import GaussianPairSource, GaussianReconstruction, mse_of_reconstruction
 from .gaussian_tradeoff import c_threshold
 from .universal_gaussian import encoder_for_rate, mmse_gain
 
 
-@dataclass(frozen=True)
-class Theorem5Instance:
+class Theorem5Instance(Frozen):
     """The numbers the corner bounds consume; nothing is re-derived here."""
 
-    var_x: float
-    sigma_xhat3: float
-    d1: float
-    d3: float
-    d_b: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("var_x", "sigma_xhat3", "d1", "d3", "d_b"):
-            value = getattr(self, name)
+    def __init__(
+        self, var_x: float, sigma_xhat3: float, d1: float, d3: float, d_b: float | None = None
+    ):
+        fields = dict(var_x=var_x, sigma_xhat3=sigma_xhat3, d1=d1, d3=d3, d_b=d_b)
+        for name, value in fields.items():
             if value is not None:
                 check_finite(name, value)
                 check_nonneg(name, value)
-        if self.var_x == 0.0 or self.d1 > self.var_x:
-            raise ParameterError(
-                f"need var_x > 0 and d1 in [0, var_x], got {self.var_x}, {self.d1}"
-            )
+        if var_x == 0.0 or d1 > var_x:
+            raise ParameterError(f"need var_x > 0 and d1 in [0, var_x], got {var_x}, {d1}")
+        self.__dict__.update(fields)
 
 
 def _lower_bound_numerator(inst: Theorem5Instance) -> float:
@@ -174,21 +167,28 @@ def _uniform_draws(seed: int, n: int, low: float, high: float) -> list[float]:
     return draws
 
 
-@dataclass(frozen=True)
-class HarnessRecord:
+class HarnessRecord(Frozen):
     """One fully evaluated Gaussian instance with every bound and check."""
 
-    rate: float
-    instance: Theorem5Instance
-    c3: float
-    gap_lb: float
-    ratio_lb: float
-    gap_holds: bool
-    ratio_holds: bool
-    sandwich_holds: bool
-    gap_ub: float | None
-    ratio_ub: float | None
-    degenerate: bool
+    def __init__(
+        self,
+        rate: float,
+        instance: Theorem5Instance,
+        c3: float,
+        gap_lb: float,
+        ratio_lb: float,
+        gap_holds: bool,
+        ratio_holds: bool,
+        sandwich_holds: bool,
+        gap_ub: float | None,
+        ratio_ub: float | None,
+        degenerate: bool,
+    ):
+        self.__dict__.update(
+            rate=rate, instance=instance, c3=c3, gap_lb=gap_lb, ratio_lb=ratio_lb,
+            gap_holds=gap_holds, ratio_holds=ratio_holds, sandwich_holds=sandwich_holds,
+            gap_ub=gap_ub, ratio_ub=ratio_ub, degenerate=degenerate,
+        )
 
 
 def theorem5_gaussian_harness(

@@ -23,11 +23,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import InfeasibleBudgetError, ParameterError, RdcError, SizeGuardError, check_scale
+from .errors import Frozen, InfeasibleBudgetError, ParameterError, RdcError, SizeGuardError
+from .errors import check_scale
 
 # Each subcommand imports the modules it runs: discrete-region loads no Gaussian
 # module, and the Gaussian subcommands load no numpy.
@@ -47,20 +47,17 @@ BRANCH_VOCAB = (
 )
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    curve_id: str
-    model: str
-    rate_nats: float
-    c_nats: float
-    d: float
-    branch: str
-
-    def __post_init__(self) -> None:
-        if self.model not in MODEL_VOCAB:
-            raise ParameterError(f"unknown model {self.model!r}")
-        if self.branch not in BRANCH_VOCAB:
-            raise ParameterError(f"unknown branch {self.branch!r}")
+class CurveRecord(Frozen):
+    def __init__(
+        self, curve_id: str, model: str, rate_nats: float, c_nats: float, d: float, branch: str
+    ):
+        if model not in MODEL_VOCAB:
+            raise ParameterError(f"unknown model {model!r}")
+        if branch not in BRANCH_VOCAB:
+            raise ParameterError(f"unknown branch {branch!r}")
+        self.__dict__.update(
+            curve_id=curve_id, model=model, rate_nats=rate_nats, c_nats=c_nats, d=d, branch=branch
+        )
 
 
 def _fmt(value: float) -> str:

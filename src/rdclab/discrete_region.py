@@ -36,13 +36,12 @@ and about 21 MB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .errors import InfeasibleBudgetError, ParameterError, SizeGuardError, check_nonneg
+from .errors import Frozen, InfeasibleBudgetError, ParameterError, SizeGuardError, check_nonneg
 
 _STOCHASTIC_TOL = 1e-12
 _MAX_LP_SUPPORT = 64
@@ -82,27 +81,22 @@ def _check_probabilities(name: str, p: np.ndarray, tol: float, axis=None) -> Non
         raise ParameterError(f"{name} must be nonnegative and sum to 1")
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(Frozen):
     """Atoms on the real line: strictly increasing support, probs summing to 1.
 
     Owns read-only copies of ``support`` and ``probs``, whose entries must be
     finite.
     """
 
-    support: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        support = _frozen_array("support", self.support, 1)
-        probs = _frozen_array("probs", self.probs, 1)
+    def __init__(self, support: np.ndarray, probs: np.ndarray):
+        support = _frozen_array("support", support, 1)
+        probs = _frozen_array("probs", probs, 1)
         if probs.shape != support.shape:
             raise ParameterError("support and probs must have equal length")
         if np.any(np.diff(support) <= 0.0):
             raise ParameterError("support must be strictly increasing")
         _check_probabilities("probs", probs, 1e-9)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
+        self.__dict__.update(support=support, probs=probs)
 
     def mean(self) -> float:
         return float(_dot(self.support, self.probs))
@@ -112,8 +106,7 @@ class DiscreteDistribution:
         return float(_dot((self.support - m) ** 2, self.probs))
 
 
-@dataclass(frozen=True)
-class DiscreteSource:
+class DiscreteSource(Frozen):
     """Joint pmf of a real-valued X and a finite label S.
 
     ``pmf[i, j] = P(X = x_values[i], S = j)``.  Labels are indices: every
@@ -123,16 +116,11 @@ class DiscreteSource:
     every squared distance the distortions and transport costs add up.
     """
 
-    x_values: np.ndarray
-    s_size: int
-    pmf: np.ndarray
-
-    def __post_init__(self) -> None:
-        xv = _frozen_array("x_values", self.x_values, 1)
-        pmf = _frozen_array("pmf", self.pmf, 2)
+    def __init__(self, x_values: np.ndarray, s_size: int, pmf: np.ndarray):
+        xv = _frozen_array("x_values", x_values, 1)
+        pmf = _frozen_array("pmf", pmf, 2)
         if np.any(np.diff(xv) <= 0.0):
             raise ParameterError("x_values must be strictly increasing")
-        s_size = self.s_size
         if isinstance(s_size, bool) or not isinstance(s_size, (int, np.integer)) or s_size < 2:
             raise ParameterError(f"s_size must be an integer >= 2, got {s_size!r}")
         if pmf.shape != (xv.size, s_size):
@@ -143,8 +131,7 @@ class DiscreteSource:
         span = float(xv[-1]) - float(xv[0])
         if not math.isfinite(span * span):
             raise ParameterError(f"x_values span {span} overflows when squared")
-        object.__setattr__(self, "x_values", xv)
-        object.__setattr__(self, "pmf", pmf)
+        self.__dict__.update(x_values=xv, s_size=s_size, pmf=pmf)
 
     @property
     def p_x(self) -> np.ndarray:
@@ -158,19 +145,16 @@ class DiscreteSource:
         return float(_dot((self.x_values - m) ** 2, self.p_x))
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Frozen):
     """Row-stochastic matrix: rows index inputs, each row a probability vector.
 
     Owns a read-only copy of ``matrix``, whose entries must be finite.
     """
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = _frozen_array("channel matrix", self.matrix, 2)
+    def __init__(self, matrix: np.ndarray):
+        mat = _frozen_array("channel matrix", matrix, 2)
         _check_probabilities("channel rows", mat, _STOCHASTIC_TOL, axis=1)
-        object.__setattr__(self, "matrix", mat)
+        self.__dict__.update(matrix=mat)
 
     @property
     def n_in(self) -> int:
@@ -181,17 +165,16 @@ class Channel:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
-class MMSEReduction:
+class MMSEReduction(Frozen):
     """Conditional-mean decode of an encoder: estimator, its law, and residual."""
 
-    estimator: dict[int, float]
-    p_xtilde: DiscreteDistribution
-    residual: float
+    def __init__(
+        self, estimator: dict[int, float], p_xtilde: DiscreteDistribution, residual: float
+    ):
+        self.__dict__.update(estimator=estimator, p_xtilde=p_xtilde, residual=residual)
 
 
-@dataclass(frozen=True)
-class CMinSolution:
+class CMinSolution(Frozen):
     """Outcome of a minimum-classification-loss search that some decoder
     within the MSE budget meets; the solvers return None when none does.
 
@@ -199,20 +182,15 @@ class CMinSolution:
     minimising decoder: E[(X - X̃)^2] + W2^2(p_X̃, p_X̂ at c_min).
     """
 
-    c_min: float
-    d_b: float
-    decoder: Channel
-    p_xhat: DiscreteDistribution
+    def __init__(self, c_min: float, d_b: float, decoder: Channel, p_xhat: DiscreteDistribution):
+        self.__dict__.update(c_min=c_min, d_b=d_b, decoder=decoder, p_xhat=p_xhat)
 
 
-@dataclass(frozen=True)
-class OuterBoundReport:
-    d: float
-    c: float
-    rhs: float
-    holds: bool
-    residual: float
-    w2_term: float
+class OuterBoundReport(Frozen):
+    def __init__(
+        self, d: float, c: float, rhs: float, holds: bool, residual: float, w2_term: float
+    ):
+        self.__dict__.update(d=d, c=c, rhs=rhs, holds=holds, residual=residual, w2_term=w2_term)
 
 
 def _check_encoder(src: DiscreteSource, encoder: Channel) -> None:

@@ -1,4 +1,5 @@
-"""Semantic exceptions and the input contract shared across the package.
+"""Semantic exceptions, the input contract shared across the package, and
+``Frozen``, the base of its immutable value types.
 
 The contract, enforced with ``ParameterError`` by the checks below: NaN is
 refused everywhere; rates and distortion budgets are >= 0 and may be +inf (no
@@ -22,6 +23,32 @@ import math
 # var_x * var_s (in rho^2) stays a normal float; var_xhat is not bounded, so it
 # enters only through the ratios of t = (theta2 / var_x) * (theta2 / var_xhat).
 VAR_RANGE = (1e-60, 1e60)
+
+
+class Frozen:
+    """Base of the immutable value types.  A subclass's ``__init__`` checks its
+    arguments, then stores its fields in order with one ``self.__dict__.update``;
+    equality, hash and repr read the fields in that order, and assignment and
+    deletion raise ``AttributeError``.  Pickle and ``copy`` restore ``__dict__``
+    directly."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(self.__dict__.values()) == tuple(other.__dict__.values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is frozen: cannot delete {name!r}")
 
 
 class RdcError(Exception):

@@ -19,16 +19,14 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import Frozen, ParameterError
 from .errors import check_finite, check_nonneg, check_not_nan, check_scale, checked_square
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 
 
-@dataclass(frozen=True)
-class GaussianPairSource:
+class GaussianPairSource(Frozen):
     """Jointly Gaussian (X, S) pair: means, variances and Cov(X, S).
 
     Means and Cov(X, S) must be finite and variances in ``VAR_RANGE``;
@@ -36,21 +34,19 @@ class GaussianPairSource:
     correlated pair: Cov(X, S)^2 < var_x * var_s, hence ``rho_sq`` < 1.
     """
 
-    mu_x: float
-    var_x: float
-    mu_s: float
-    var_s: float
-    cov_xs: float
-
-    def __post_init__(self) -> None:
-        for name in ("mu_x", "mu_s", "cov_xs", "var_x", "var_s"):
-            check_finite(name, getattr(self, name))
-        check_scale("var_x", self.var_x)
-        check_scale("var_s", self.var_s)
-        bound = self.var_x * self.var_s
-        cov_sq = checked_square("cov_xs", self.cov_xs)
+    def __init__(self, mu_x: float, var_x: float, mu_s: float, var_s: float, cov_xs: float):
+        check_finite("mu_x", mu_x)
+        check_finite("mu_s", mu_s)
+        check_finite("cov_xs", cov_xs)
+        check_finite("var_x", var_x)
+        check_finite("var_s", var_s)
+        check_scale("var_x", var_x)
+        check_scale("var_s", var_s)
+        bound = var_x * var_s
+        cov_sq = checked_square("cov_xs", cov_xs)
         if cov_sq >= bound:
             raise ParameterError(f"cov_xs^2 = {cov_sq} is not below var_x*var_s = {bound}")
+        self.__dict__.update(mu_x=mu_x, var_x=var_x, mu_s=mu_s, var_s=var_s, cov_xs=cov_xs)
 
     @property
     def rho_sq(self) -> float:
@@ -68,22 +64,18 @@ class GaussianPairSource:
         return differential_entropy(self.var_x)
 
 
-@dataclass(frozen=True)
-class GaussianReconstruction:
+class GaussianReconstruction(Frozen):
     """Second-order statistics of a jointly Gaussian reconstruction X̂."""
 
-    mu_xhat: float
-    var_xhat: float
-    cov_xxhat: float
-
-    def __post_init__(self) -> None:
-        for name in ("mu_xhat", "var_xhat", "cov_xxhat"):
-            check_finite(name, getattr(self, name))
-        check_nonneg("var_xhat", self.var_xhat)
+    def __init__(self, mu_xhat: float, var_xhat: float, cov_xxhat: float):
+        check_finite("mu_xhat", mu_xhat)
+        check_finite("var_xhat", var_xhat)
+        check_finite("cov_xxhat", cov_xxhat)
+        check_nonneg("var_xhat", var_xhat)
+        self.__dict__.update(mu_xhat=mu_xhat, var_xhat=var_xhat, cov_xxhat=cov_xxhat)
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(Frozen):
     """A (rate, distortion, classification loss) triple.
 
     rate is in nats and may be +inf; distortion is MSE; closs is the
@@ -91,14 +83,11 @@ class TradeoffPoint:
     [-inf, +inf].
     """
 
-    rate: float
-    distortion: float
-    closs: float
-
-    def __post_init__(self) -> None:
-        check_nonneg("rate", self.rate)
-        check_nonneg("distortion", self.distortion)
-        check_not_nan("closs", self.closs)
+    def __init__(self, rate: float, distortion: float, closs: float):
+        check_nonneg("rate", rate)
+        check_nonneg("distortion", distortion)
+        check_not_nan("closs", closs)
+        self.__dict__.update(rate=rate, distortion=distortion, closs=closs)
 
 
 def differential_entropy(var: float) -> float:

@@ -30,47 +30,43 @@ never papered over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
-from .errors import ParameterError, check_finite, check_nonneg, check_not_nan
+from .errors import Frozen, ParameterError, check_finite, check_nonneg, check_not_nan
 from .gaussian_model import GaussianPairSource, TradeoffPoint
 
-Status = Literal["feasible", "infeasible", "unbounded"]
+STATUSES = ("feasible", "infeasible", "unbounded")
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(Frozen):
     """Outcome of a constrained tradeoff evaluation.
 
-    ``value`` is the optimal rate (for rate solvers) or distortion (for
-    distortion solvers) and is present exactly when ``status == "feasible"``.
-    ``branch`` labels the case that produced it, as the CSV/JSON emitters
-    print it; for ``rdc_rate`` it names the active budget ("distortion",
-    "classification" or "both").
+    ``status`` is one of ``STATUSES``.  ``value`` is the optimal rate (for rate
+    solvers) or distortion (for distortion solvers), never NaN, and is present
+    exactly when ``status == "feasible"``.  ``branch`` labels the case that
+    produced it, as the CSV/JSON emitters print it; for ``rdc_rate`` it names
+    the active budget ("distortion", "classification" or "both").
     """
 
-    status: Status
-    value: float | None = None
-    branch: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.status == "feasible") != (self.value is not None):
+    def __init__(self, status: str, value: float | None = None, branch: str | None = None):
+        if status not in STATUSES:
+            raise ParameterError(f"status must be one of {STATUSES}, got {status!r}")
+        if (status == "feasible") != (value is not None):
             raise ParameterError("value must be present iff status is feasible")
+        if value is not None:
+            check_not_nan("value", value)
+        self.__dict__.update(status=status, value=value, branch=branch)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Frozen):
     """A non-empty collection of (distortion, classification-loss) pairs."""
 
-    pairs: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pairs) == 0:
+    def __init__(self, pairs: tuple[tuple[float, float], ...]):
+        if len(pairs) == 0:
             raise ParameterError("constraint set must be non-empty")
-        for d, c in self.pairs:
+        for d, c in pairs:
             check_nonneg("distortion budget", d)
             check_not_nan("classification budget c", c)
+        self.__dict__.update(pairs=pairs)
 
 
 def t_max(rate: float) -> float:

@@ -25,9 +25,8 @@ C = c_threshold(R); achieved losses are always measured via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ParameterError, check_finite, check_nonneg, checked_square
+from .errors import Frozen, ParameterError, check_finite, check_nonneg, checked_square
 from .gaussian_model import (
     GaussianPairSource,
     GaussianReconstruction,
@@ -38,25 +37,21 @@ from .gaussian_model import (
 from .gaussian_tradeoff import ConstraintSet, c_min, rdc_rate, t_max, t_required
 
 
-@dataclass(frozen=True)
-class GaussianRepresentation:
+class GaussianRepresentation(Frozen):
     """Gaussian encoder output Z ~ N(0, 1), stated by Cov(X, Z).  var_z = 1 by
     construction, so it is not a field; the rate follows from cov_xz."""
 
-    cov_xz: float
+    def __init__(self, cov_xz: float):
+        check_finite("cov_xz", cov_xz)
+        self.__dict__.update(cov_xz=cov_xz)
 
-    def __post_init__(self) -> None:
-        check_finite("cov_xz", self.cov_xz)
 
-
-@dataclass(frozen=True)
-class LinearDecoder:
+class LinearDecoder(Frozen):
     """Signed scaling gain applied to the representation."""
 
-    gamma: float
-
-    def __post_init__(self) -> None:
-        check_finite("gamma", self.gamma)
+    def __init__(self, gamma: float):
+        check_finite("gamma", gamma)
+        self.__dict__.update(gamma=gamma)
 
 
 def encoder_for_rate(src: GaussianPairSource, rate: float) -> GaussianRepresentation:

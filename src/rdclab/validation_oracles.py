@@ -20,11 +20,10 @@ from the delta method:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import Frozen, ParameterError
 from .gaussian_model import (
     GaussianPairSource,
     GaussianReconstruction,
@@ -33,21 +32,14 @@ from .gaussian_model import (
 )
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(Frozen):
     """Aligned draws of (x, s, x̂)."""
 
-    n: int
-    seed: int
-    x: np.ndarray
-    s: np.ndarray
-    xhat: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("x", "s", "xhat"):
-            col = getattr(self, name)
-            if col.shape != (self.n,):
-                raise ParameterError(f"column {name} must have length n={self.n}")
+    def __init__(self, n: int, seed: int, x: np.ndarray, s: np.ndarray, xhat: np.ndarray):
+        for name, col in (("x", x), ("s", s), ("xhat", xhat)):
+            if col.shape != (n,):
+                raise ParameterError(f"column {name} must have length n={n}")
+        self.__dict__.update(n=n, seed=seed, x=x, s=s, xhat=xhat)
 
 
 def sample_joint(

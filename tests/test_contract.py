@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from rdclab import (
     Channel,
+    FeasibilityVerdict,
     GaussianPairSource,
     GaussianReconstruction,
     GaussianRepresentation,
@@ -84,11 +85,19 @@ class TestChecks:
         pytest.param(  # once returned nan: NaN passed both its < 0 and its sum test
             lambda: cond_entropy_discrete([[math.nan, 0.5], [0.5, 0.0]]), id="cond_entropy"
         ),
+        pytest.param(lambda: FeasibilityVerdict("feasible", math.nan), id="verdict"),  # once built
     ],
 )
 def test_nan_is_refused(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("status", ["bogus", "Feasible", None])
+def test_unknown_verdict_status_is_refused(status):
+    # These once built a verdict: the status vocabulary was a type hint only.
+    with pytest.raises(ParameterError, match="status must be one of"):
+        FeasibilityVerdict(status)
 
 
 @pytest.mark.parametrize("budget", [-1.0, -1e-300, -math.inf])

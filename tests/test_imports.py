@@ -7,7 +7,9 @@ the modules it runs: the Gaussian ones (``gauss-curves``,
 ``discrepancy-report``, ``bounds``) load only Gaussian modules and ``math``
 (the harness draws its seeded rates from a pure-Python PCG64 stream), and
 ``discrete-region`` loads numpy, ``discrete_region`` and ``_kernels``, without
-``numpy.ma``.  scipy is imported inside ``w2_squared_lp`` and
+``numpy.ma``.  The value types are plain classes on ``errors.Frozen``, so no
+subcommand loads ``dataclasses``, and the Gaussian ones load neither
+``inspect`` nor ``typing``.  scipy is imported inside ``w2_squared_lp`` and
 ``discretize_gaussian`` on their first call, so no subcommand loads it, and
 ``scipy.stats`` is never imported.  ``discrete-region`` asks OpenBLAS for one
 thread unless its caller set a thread count.  Each check runs in a fresh
@@ -140,6 +142,25 @@ def test_subcommand_loads_only_its_modules(name, tmp_path):
     # Gaussian subcommands load neither discrete module.
     got = json.loads(fresh_python(cli_code(name, tmp_path, WATCHED_MODULES)))
     assert got == MODULES[name]
+
+
+INTROSPECTION = (
+    "import json, sys\n"
+    "print(json.dumps(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))))\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_subcommand_loads_no_dataclasses(name, tmp_path):
+    # The Gaussian subcommands run under -S, which keeps out site and the
+    # .pth files that import typing first, and load none of the three.
+    # discrete-region needs site-packages for numpy, which imports inspect and
+    # typing itself.
+    code = cli_code(name, tmp_path, INTROSPECTION)
+    if name == "discrete-region":
+        assert "dataclasses" not in json.loads(fresh_python(code))
+    else:
+        assert json.loads(fresh_python(code, "-S")) == []
 
 
 def test_main_in_process_returns_and_leaves_stdout(tmp_path):
