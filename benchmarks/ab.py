@@ -1,12 +1,12 @@
 """A/B timing of one CLI command in two checkouts, in shuffled, interleaved rounds.
 
-    python3 benchmarks/ab.py PARENT_ROOT CHANGE_ROOT [--rounds N] [--seed S]
-        [--out PATH] -- ARGV...
+    python3 benchmarks/ab.py PARENT_ROOT CHANGE_ROOT [--rounds N] [--out PATH]
+        -- ARGV...
 
 It byte-compiles each checkout's ``src/rdclab`` (as ``rdcbench/run.py`` does),
 runs ``python -m rdclab.cli ARGV`` once per checkout untimed, then runs it N
-times per checkout: each round runs both checkouts, in an order drawn from the
-seed.  Each child runs with ``PYTHONPATH=<root>/src`` in its own temporary
+times per checkout: each round runs both checkouts, in an order drawn from a
+fixed seed.  Each child runs with ``PYTHONPATH=<root>/src`` in its own temporary
 working directory, so relative output paths in ARGV land there; give input
 paths absolute.  For each child it records the wall time, the user + system
 CPU time and ``ru_maxrss``, all from ``os.wait4`` on that child.  On Linux a
@@ -18,7 +18,8 @@ Per metric it prints, and writes as the last stdout line (and to ``--out``) as
 JSON: each side's median and quartiles, the change's median over the
 parent's, how many rounds the change read lower (ties count for neither), and
 the two-sided sign-test p-value of those wins against the losses.  A child
-that exits non-zero stops the run.
+that exits non-zero, or runs longer than ``JOB_TIMEOUT_S`` and is killed, stops
+the run.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 METRICS = ("wall_s", "cpu_s", "maxrss_mb")
+JOB_TIMEOUT_S = 120.0  # as rdcbench/jobs.py: a hung child is killed
 
 
 def sign_test(wins: int, losses: int) -> float:
@@ -74,12 +77,18 @@ def run_once(root: Path, argv: list[str], workdir: Path) -> dict:
             [sys.executable, "-m", "rdclab.cli", *argv], cwd=workdir, env=env,
             stdout=out, stderr=err,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
+        watchdog = threading.Timer(JOB_TIMEOUT_S, proc.kill)
+        watchdog.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            watchdog.cancel()
         wall = time.perf_counter() - start
-    code = os.waitstatus_to_exitcode(status)
+    code = proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: no ResourceWarning
     if code != 0:
+        why = f"killed after {JOB_TIMEOUT_S:g} s" if wall >= JOB_TIMEOUT_S else f"exit {code}"
         stderr = (workdir / "stderr").read_text(errors="replace")
-        sys.exit(f"{root}: exit {code}\n{stderr}")
+        sys.exit(f"{root}: {why}\n{stderr}")
     return {
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
@@ -92,7 +101,6 @@ def main(args: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path)
     args = sys.argv[1:] if args is None else args
     cut = args.index("--") if "--" in args else len(args)
@@ -104,7 +112,7 @@ def main(args: list[str] | None = None) -> int:
         cmd = [sys.executable, "-m", "compileall", "-q", str(root / "src" / "rdclab")]
         subprocess.run(cmd, check=True)
     samples = {side: {m: [] for m in METRICS} for side in SIDES}
-    rng = random.Random(opts.seed)
+    rng = random.Random(0)
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp, side) for side in SIDES}
         for side in SIDES:
@@ -117,7 +125,6 @@ def main(args: list[str] | None = None) -> int:
     result = {
         "argv": argv,
         "roots": {side: str(root) for side, root in roots.items()},
-        "seed": opts.seed,
         "metrics": {
             m: compare(samples["parent"][m], samples["change"][m]) for m in METRICS
         },

@@ -29,8 +29,9 @@ class Frozen:
     """Base of the immutable value types.  A subclass's ``__init__`` checks its
     arguments, then stores its fields in order with one ``self.__dict__.update``;
     equality, hash and repr read the fields in that order, and assignment and
-    deletion raise ``AttributeError``.  Pickle and ``copy`` restore ``__dict__``
-    directly."""
+    deletion raise ``AttributeError``.  Pickle and ``copy`` rebuild a copy
+    through ``__init__``, so it passes the same checks and its arrays come back
+    read-only."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -43,6 +44,9 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(self.__dict__.values())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{self.__class__.__name__} is frozen: cannot assign {name!r}")

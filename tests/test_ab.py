@@ -1,4 +1,5 @@
-"""``benchmarks/ab.py``: its statistics on synthetic samples; nothing is timed."""
+"""``benchmarks/ab.py``: its statistics on synthetic samples, and its watchdog on
+a child that hangs; nothing is timed."""
 
 import math
 import sys
@@ -44,3 +45,13 @@ def test_compare_pairs_by_round_not_by_rank():
     assert got["ratio"] == 1.0
     assert (got["wins"], got["ties"]) == (1, 0)
     assert got["p_value"] == ab.sign_test(1, 3) == 10 / 16
+
+
+def test_a_hung_child_is_killed_and_stops_the_run(tmp_path, monkeypatch):
+    package = tmp_path / "root" / "src" / "rdclab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import time\ntime.sleep(60)\n")
+    monkeypatch.setattr(ab, "JOB_TIMEOUT_S", 0.5)
+    with pytest.raises(SystemExit, match="killed after 0.5 s"):
+        ab.run_once(tmp_path / "root", [], tmp_path)

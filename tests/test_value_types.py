@@ -6,7 +6,7 @@ array or a dict is unhashable, and ``==`` between two multi-atom arrays
 raises, so array fields are compared with ``np.array_equal``); ``repr`` is
 ``Name(field=value, ...)`` in field order; assignment and ``del`` raise
 ``AttributeError``; and a ``pickle`` round trip or a ``copy.deepcopy`` gives
-equal fields.
+equal fields, read-only arrays staying read-only, and re-runs the checks.
 """
 
 import copy
@@ -35,6 +35,7 @@ from rdclab import (
     TradeoffPoint,
 )
 from rdclab.cli import CurveRecord
+from rdclab.errors import ParameterError
 
 INSTANCE = dict(var_x=1.0, sigma_xhat3=0.8, d1=0.36, d3=0.5, d_b=None)
 
@@ -96,9 +97,14 @@ def _multi_atom(value) -> bool:
 
 
 def _same(a, b) -> bool:
-    """Equal fields, with arrays compared by value and dtype."""
+    """Equal fields, with arrays compared by value, dtype and writeability."""
     if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.flags.writeable == b.flags.writeable
+            and np.array_equal(a, b)
+        )
     if isinstance(a, dict):
         return isinstance(b, dict) and list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
     if hasattr(a, "__dict__"):
@@ -183,3 +189,13 @@ def test_copies_keep_the_fields_and_stay_frozen(case, clone):
     assert _same(a, b)
     with pytest.raises(AttributeError):
         setattr(b, next(iter(vars(b))), 0.0)
+
+
+def test_copies_rerun_the_checks():
+    # A state no constructor accepts, forced past __init__: a copy refuses it.
+    bad = object.__new__(DiscreteDistribution)
+    bad.__dict__.update(support=np.array([0.0, 1.0]), probs=np.array([5.0, 0.5]))
+    with pytest.raises(ParameterError):
+        copy.deepcopy(bad)
+    with pytest.raises(ParameterError):
+        pickle.loads(pickle.dumps(bad))
