@@ -1,21 +1,24 @@
-"""Write BENCH_<label>.json: the rdcbench numbers of one checkout, with provenance.
+"""Write a BENCH pair: the rdcbench numbers of a parent and a change checkout.
 
-Run from the root of a checkout:
+    python3 benchmarks/bench.py PARENT_ROOT CHANGE_ROOT --labels P C
 
-    python3 benchmarks/bench.py --label lazy-scipy
+For each of seeds 1 and 2 it runs ``rdcbench/run.py --workload all`` in both
+checkouts back to back, the parent first on seed 1 and the change first on
+seed 2, so host drift between the runs falls on both sides alike.  Then it
+runs ``rdcbench/run.py --workload region-enum --trace 1`` in each, parent
+first.  Every run takes rdcbench's default time and runs in its own
+checkout, with that checkout's ``rdcbench/``.  It writes ``BENCH_<P>.json``
+and ``BENCH_<C>.json`` in the current directory.  Each file holds its
+checkout's result lines (the last stdout line of each run), the median over
+the seeds of each end-to-end metric, the traced run's per-layer metrics, the
+order of all six runs, and its own provenance: the python, numpy and scipy
+versions, and the checkout's git commit, ``git status --porcelain`` and the
+SHA-256 of ``git diff HEAD``, read before any run.  A file made from a dirty
+tree is stamped by those last two fields, not refused.
 
-It runs ``rdcbench/run.py --workload all`` on seeds 1 and 2, then
-``rdcbench/run.py --workload region-enum --trace 1``, each for rdcbench's
-default time, and writes ``BENCH_<label>.json`` at the root of the checkout.
-The file holds every result line (the last stdout line of each run), the
-median over the seeds of each end-to-end metric, the traced run's per-layer
-metrics, the python, numpy and scipy versions, and the checkout's git commit,
-``git status --porcelain`` and the SHA-256 of ``git diff HEAD``.  A file made from
-a dirty tree is stamped by those last two fields, not refused.
-
-Two BENCH files made on the same host compare a change with its parent:
-make one in a clean checkout of each.  The full per-job records, with every
-output digest, stay in ``.rdcbench/results/`` of the checkout.
+The full per-job records, with every output digest, stay in
+``.rdcbench/results/`` of each checkout, where ``benchmarks/digests.py``
+compares them.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ TRACE_WORKLOAD = "region-enum"
 def rdcbench(root: Path, *args: str) -> dict:
     """Run rdcbench/run.py once; echo its report rows and return its result line."""
     argv = [sys.executable, "rdcbench/run.py", *args]
-    print("$ " + " ".join(argv[1:]), file=sys.stderr, flush=True)
+    print(f"$ cd {root} && " + " ".join(argv[1:]), file=sys.stderr, flush=True)
     proc = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     lines = proc.stdout.splitlines()
     print("\n".join(lines[:-1]), file=sys.stderr, flush=True)
@@ -82,36 +85,48 @@ def provenance(root: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--labels", nargs=2, required=True, metavar=("P", "C"),
+                        help="name the files BENCH_<P>.json and BENCH_<C>.json")
     args = parser.parse_args(argv)
 
-    root = Path.cwd()
-    if not (root / "rdcbench" / "run.py").is_file():
-        print("error: run from the root of an rdclab checkout (rdcbench/run.py missing)",
-              file=sys.stderr)
-        return 2
-    prov = provenance(root)  # before the runs, so the tree is stamped as it was given
-    end_to_end = [
-        rdcbench(root, "--workload", "all", "--seed", str(seed)) for seed in SEEDS
-    ]
-    traced = rdcbench(
-        root, "--workload", TRACE_WORKLOAD, "--seed", str(SEEDS[0]), "--trace", "1"
-    )
-    bench = {
-        "label": args.label,
-        "provenance": prov,
-        "seeds": list(SEEDS),
-        "result_lines": end_to_end + [traced],
-        "medians": medians(end_to_end),
-        "per_layer": {
-            "workload": TRACE_WORKLOAD,
-            "seed": SEEDS[0],
-            "metrics": {k: v["value"] for k, v in traced["result"]["metrics"].items()},
-        },
-    }
-    path = root / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {path.name}", file=sys.stderr)
+    roots = [args.parent.resolve(), args.change.resolve()]
+    for root in roots:
+        if not (root / "rdcbench" / "run.py").is_file():
+            print(f"error: {root} is not an rdclab checkout (rdcbench/run.py missing)",
+                  file=sys.stderr)
+            return 2
+    provs = [provenance(root) for root in roots]  # before the runs: the trees as given
+    order: list[list] = []
+    end_to_end: list[list[dict]] = [[], []]
+    for k, seed in enumerate(SEEDS):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            order.append([args.labels[side], "all", seed])
+            end_to_end[side].append(rdcbench(roots[side], "--workload", "all", "--seed", str(seed)))
+    traced = []
+    for side in (0, 1):
+        order.append([args.labels[side], TRACE_WORKLOAD, SEEDS[0]])
+        traced.append(rdcbench(
+            roots[side], "--workload", TRACE_WORKLOAD, "--seed", str(SEEDS[0]), "--trace", "1"
+        ))
+    for side, label in enumerate(args.labels):
+        bench = {
+            "label": label,
+            "provenance": provs[side],
+            "seeds": list(SEEDS),
+            "run_order": order,
+            "result_lines": end_to_end[side] + [traced[side]],
+            "medians": medians(end_to_end[side]),
+            "per_layer": {
+                "workload": TRACE_WORKLOAD,
+                "seed": SEEDS[0],
+                "metrics": {k: v["value"] for k, v in traced[side]["result"]["metrics"].items()},
+            },
+        }
+        path = Path.cwd() / f"BENCH_{label}.json"
+        path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path.name}", file=sys.stderr)
     return 0
 
 

@@ -20,10 +20,11 @@ Kernels:
 The decoder scans walk the grid through ``_blocks``, the one place that
 knows the decoder order; a block broadcasts the last symbol's row over a run
 of prefixes.  ``dc_scan`` gathers H(S|X̂) terms from a table over the values
-an atom's row entries take, far fewer than the decoders.  ``dc_scan``'s
-(d, c) are the only grid-sized arrays: their consumers fold them in
-``_CHUNK`` slices.  Loop forms of the grid and decoder scans live in
-``tests/test_kernels.py`` as reference oracles.
+an atom's row entries take, far fewer than the decoders, and writes each
+decoder's (d, c) straight into its output, whole prefix rows of about
+``_GATHER`` decoders at a time.  ``dc_scan``'s (d, c) are the only grid-sized
+arrays: their consumers fold them in ``_CHUNK`` slices.  Loop forms of the
+grid and decoder scans live in ``tests/test_kernels.py`` as reference oracles.
 
 ``grid_rate_scan`` bisects each grid row for its budgets' boundaries instead
 of evaluating every point.  Along a row the covariance theta_k is non-decreasing in k, the MSE is
@@ -48,6 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 _CHUNK = 8192
+_GATHER = 512  # decoders whose H(S|X̂) terms ``dc_scan`` gathers at once
 OUTER_TOL = 1e-12  # relative to the squared span of the atoms
 
 
@@ -230,15 +232,23 @@ def _blocks(n_rows, n_z):
             yield pre, np.arange(lo, min(lo + n_last, n_rows))
 
 
-def _block_sums(tables):
-    """Yield per block ``sum_z tables[z][:, digit_z]`` of each decoder, added in
-    z order, as a (features, decoders) array."""
+def _block_parts(tables):
+    """Yield per block the sums ``sum_{z < n_z - 1} tables[z][:, digit_z]`` over
+    the prefix digits, added in z order, as (features, prefixes), and the last
+    symbol's ``tables[-1][:, last]`` as (features, last)."""
     n_z, k, n_rows = tables.shape
     for pre, last in _blocks(n_rows, n_z):
         acc = np.zeros((k, pre.shape[0]), dtype=tables.dtype)
         for z in range(n_z - 1):
             acc += tables[z][:, pre[:, z]]
-        yield (acc[:, :, None] + tables[-1][:, None, last]).reshape(k, -1)
+        yield acc, tables[-1][:, last]
+
+
+def _block_sums(tables):
+    """Yield per block ``sum_z tables[z][:, digit_z]`` of each decoder, added in
+    z order, as a (features, decoders) array."""
+    for head, tail in _block_parts(tables):
+        yield (head[:, :, None] + tail[:, None]).reshape(tables.shape[1], -1)
 
 
 def _entropy_records(rows, n_z, joint_zs):
@@ -253,6 +263,7 @@ def _entropy_records(rows, n_z, joint_zs):
     inv = np.searchsorted(values, rows)
     u = values.size
     code = inv.reshape(rows.shape).T[None] * u ** np.arange(n_z - 1, -1, -1)[:, None, None]
+    code = code.astype(np.int32)  # each code sum indexes the u**n_z records
     digits = np.indices((u,) * n_z).reshape(n_z, -1)
     joint = values[digits[0], None] * joint_zs[0]
     for z in range(1, n_z):
@@ -271,13 +282,20 @@ def cond_entropy_terms(joint, marginal):
 
 def _dc_scan(rows, n_z, row_d, joint_zs):
     code, records = _entropy_records(rows, n_z, joint_zs)
+    k = rows.shape[1]
     out_d, out_c = np.empty((2, rows.shape[0] ** n_z))
     pos = 0
-    for (d,), c in zip(_block_sums(row_d[:, None]), _block_sums(code)):
-        term = records.take(c.T).view(np.float64).reshape(d.size, rows.shape[1], -1)
-        out_d[pos : pos + d.size] = d
-        out_c[pos : pos + d.size] = term.sum(axis=(1, 2))
-        pos += d.size
+    blocks = zip(_block_parts(row_d[:, None]), _block_parts(code))
+    for ((head_d,), (tail_d,)), (head_c, tail_c) in blocks:
+        # Whole prefix rows, ~_GATHER decoders at a time, each decoder summed alone.
+        step = max(_GATHER // tail_d.size, 1)
+        for i in range(0, head_d.size, step):
+            c = head_c.T[i : i + step, None] + tail_c.T
+            d = out_d[pos : pos + c.shape[0] * tail_d.size].reshape(c.shape[:2])
+            np.add(head_d[i : i + step, None], tail_d, out=d)
+            term = records.take(c).view(np.float64).reshape(d.size, k, -1)
+            term.sum(axis=(1, 2), out=out_c[pos : pos + d.size])
+            pos += d.size
     return out_d, out_c
 
 

@@ -7,6 +7,13 @@ Markov chain S - X - X̂: S and X̂ are drawn conditionally independent given X.
 A representation Z ~ N(0, 1) is sampled as the reconstruction
 ``GaussianReconstruction(0.0, 1.0, cov_xz)``.
 
+The standard normals are drawn into one (3, n) buffer, and x, s and x̂ are
+formed in it in place, row by row, with the float operations of the broadcast
+forms ``mu + sd*u`` and ``mu + gain*(x - mu_x) + sd*u`` in their order (IEEE
+addition and multiplication commute, so ``u *= sd; u += mu`` is ``mu + sd*u``
+bit for bit).  One scratch row holds x - mu_x and then the shift, so a batch
+costs 32 B per sample at its peak, 24 of them the batch.
+
 Estimation is plug-in: fit the sample covariance, evaluate the Gaussian
 closed forms on it.  The model class is exactly Gaussian here, so plug-in is
 consistent and still exercises the algebra end to end.  Standard errors come
@@ -33,13 +40,29 @@ from .gaussian_model import (
 
 
 class SampleBatch(Frozen):
-    """Aligned draws of (x, s, x̂)."""
+    """Aligned draws of (x, s, x̂): the rows of ``draws``, a (3, n) array.
 
-    def __init__(self, n: int, seed: int, x: np.ndarray, s: np.ndarray, xhat: np.ndarray):
-        for name, col in (("x", x), ("s", s), ("xhat", xhat)):
-            if col.shape != (n,):
-                raise ParameterError(f"column {name} must have length n={n}")
-        self.__dict__.update(n=n, seed=seed, x=x, s=s, xhat=xhat)
+    The batch holds a read-only view of ``draws``; ``x``, ``s`` and ``xhat``
+    are views of its rows, so no column is copied."""
+
+    def __init__(self, n: int, seed: int, draws: np.ndarray):
+        if draws.shape != (3, n):
+            raise ParameterError(f"draws must have shape (3, n) = (3, {n}), got {draws.shape}")
+        draws = draws.view()
+        draws.flags.writeable = False
+        self.__dict__.update(n=n, seed=seed, draws=draws)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.draws[0]
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.draws[1]
+
+    @property
+    def xhat(self) -> np.ndarray:
+        return self.draws[2]
 
 
 def sample_joint(
@@ -57,13 +80,21 @@ def sample_joint(
     mu_w, var_w, cov_xw = target.mu_xhat, target.var_xhat, target.cov_xxhat
     resid_s = src.var_s - src.cov_xs**2 / src.var_x
     resid_w = var_w * (1.0 - t)  # not var_w - cov_xw**2 / var_x: cov_xw**2 may underflow
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.standard_normal((3, n))
-    x = src.mu_x + math.sqrt(src.var_x) * u[0]
-    centered = x - src.mu_x
-    s = src.mu_s + (src.cov_xs / src.var_x) * centered + math.sqrt(max(resid_s, 0.0)) * u[1]
-    w = mu_w + (cov_xw / src.var_x) * centered + math.sqrt(resid_w) * u[2]
-    return SampleBatch(n=n, seed=seed, x=x, s=s, xhat=w)
+    draws = np.random.Generator(np.random.Philox(key=seed)).standard_normal((3, n))
+    x = draws[0]
+    x *= math.sqrt(src.var_x)
+    x += src.mu_x
+    shift = np.empty(n)
+    for row, mu, gain, sd in (
+        (draws[1], src.mu_s, src.cov_xs / src.var_x, math.sqrt(max(resid_s, 0.0))),
+        (draws[2], mu_w, cov_xw / src.var_x, math.sqrt(resid_w)),
+    ):
+        np.subtract(x, src.mu_x, out=shift)
+        shift *= gain
+        shift += mu
+        row *= sd
+        row += shift
+    return SampleBatch(n=n, seed=seed, draws=draws)
 
 
 def plugin_estimates(batch: SampleBatch) -> dict:
@@ -75,12 +106,13 @@ def plugin_estimates(batch: SampleBatch) -> dict:
     if batch.n < 100:
         raise ParameterError("plug-in estimates need n >= 100")
     n = batch.n
-    d = batch.x - batch.xhat
-    dsq = d * d
+    dsq = batch.x - batch.xhat
+    dsq *= dsq
     mse_hat = float(dsq.mean())
     se_mse = float(dsq.std(ddof=1) / math.sqrt(n))
+    del dsq
 
-    cov = np.cov(np.stack([batch.x, batch.s, batch.xhat]), ddof=1)
+    cov = np.cov(batch.draws, ddof=1)
     var_x, var_s, var_h = cov[0, 0], cov[1, 1], cov[2, 2]
     degenerate = var_h <= 0.0 or var_s <= 0.0 or var_x <= 0.0
 

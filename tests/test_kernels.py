@@ -600,7 +600,7 @@ class TestChunkBoundaries:
     """The slice folds of ``budget_argmin`` and the frontier's prefilter at a
     7-decoder ``_CHUNK``, so that slices split C-ties and put a dominator and
     the points it dominates on either side of a boundary; ``dc_scan``'s bits
-    do not depend on ``_CHUNK``."""
+    do not depend on ``_CHUNK`` or ``_GATHER``."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
@@ -656,6 +656,19 @@ class TestChunkBoundaries:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
+    @pytest.mark.parametrize("gather", [1, 16, 100, 10**6])
+    def test_dc_scan_bits_do_not_depend_on_the_gather(self, gather):
+        # 15 rows: 1 and 16 gather one prefix row, 100 six with a partial last
+        # gather, 10**6 a whole block
+        src, enc = load_discrete_source(GOLDEN / "x2_s2_z3_source.json")
+        _, _, rows, row_d, b = _grid(src, enc, 2)
+        want = _dc_scan_py(rows, 3, row_d, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_GATHER", gather)
+            got = _kernels.dc_scan(rows, 3, row_d, b)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
 
 def test_region_report_memory(monkeypatch):
     # No timing: tracemalloc counts numpy's buffers.  dc_scan's (d, c), 16 B per
@@ -678,5 +691,5 @@ def test_region_report_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert decoders == 207_025
-    assert peak <= 16 * decoders + 2_000_000
+    assert peak <= 16 * decoders + 600_000
     assert held[0] < 8 * decoders

@@ -1,6 +1,8 @@
-"""Monte Carlo plug-in oracles: determinism, convergence, degeneracy flags."""
+"""Monte Carlo plug-in oracles: determinism, convergence, degeneracy flags,
+the bits of the in-place draw buffer, and its memory under ``tracemalloc``."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +20,16 @@ from rdclab import (
     plugin_estimates,
     sample_joint,
 )
+from rdclab.gaussian_model import squared_correlation
 
 UNIT = GaussianPairSource(0.0, 1.0, 0.0, 1.0, 0.7)
 R_STAR = 0.3366722766318828
+# var_s - cov_xs**2 / var_x rounds to 0 here, so the label's noise is clamped
+ZERO_RESIDUAL = GaussianPairSource(0.25, 0.9317519014656098, -1.0, 8.343177061768637,
+                                   2.7881483266797673)
+# cov_xxhat**2 underflows to 0 here (t = 0.25)
+TINY_SRC = GaussianPairSource(0.0, 1e-60, 0.0, 1.0, 0.5e-30)
+TINY_REC = GaussianReconstruction(0.0, 1e-300, 5e-181)
 
 
 def mmse_reconstruction():
@@ -87,6 +96,98 @@ class TestSampleJoint:
         rec = GaussianReconstruction(0.0, 1e-300, 5e-181)
         batch = sample_joint(src, rec, 200_000, seed=5)
         assert abs(float(np.var(batch.xhat, ddof=1)) / 1e-300 - 1.0) <= 0.02
+
+
+def broadcast_rows(src, target, n, seed):
+    """The rows of (x, s, x̂) in their broadcast form, one expression each."""
+    t = squared_correlation(src, target)
+    resid_s = src.var_s - src.cov_xs**2 / src.var_x
+    resid_w = target.var_xhat * (1.0 - t)
+    u = np.random.Generator(np.random.Philox(key=seed)).standard_normal((3, n))
+    x = src.mu_x + math.sqrt(src.var_x) * u[0]
+    centered = x - src.mu_x
+    s = src.mu_s + (src.cov_xs / src.var_x) * centered + math.sqrt(max(resid_s, 0.0)) * u[1]
+    w = target.mu_xhat + (target.cov_xxhat / src.var_x) * centered + math.sqrt(resid_w) * u[2]
+    return x, s, w
+
+
+def seeded_pairs():
+    """(source, reconstruction) pairs drawn from seeded generators, then the
+    zero-residual and tiny-scale pairs."""
+    rng = np.random.default_rng(2504)
+    for _ in range(6):
+        var_x, var_s, var_h = np.exp(rng.uniform(-4.0, 4.0, 3)).tolist()
+        mu_x, mu_s, mu_h = rng.normal(0.0, 3.0, 3).tolist()
+        rho, r = rng.uniform(-0.99, 0.99, 2).tolist()
+        src = GaussianPairSource(mu_x, var_x, mu_s, var_s, rho * math.sqrt(var_x * var_s))
+        yield src, GaussianReconstruction(mu_h, var_h, r * math.sqrt(var_x * var_h))
+    yield ZERO_RESIDUAL, GaussianReconstruction(0.5, 0.25, 0.25)
+    yield ZERO_RESIDUAL, GaussianReconstruction(-1.0, 0.0, 0.0)  # constant decoder
+    yield TINY_SRC, TINY_REC
+    yield UNIT, GaussianReconstruction(0.0, 1.0, 1.0)  # identity: no noise on x̂
+
+
+class TestDrawBuffer:
+    def test_zero_residual_source_rounds_to_zero(self):
+        src = ZERO_RESIDUAL
+        assert src.var_s - src.cov_xs**2 / src.var_x == 0.0
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (1000, 2026)])
+    def test_rows_are_the_broadcast_forms_bit_for_bit(self, n, seed):
+        for src, target in seeded_pairs():
+            batch = sample_joint(src, target, n, seed)
+            assert batch.draws.shape == (3, n) and batch.draws.dtype == np.float64
+            want = broadcast_rows(src, target, n, seed)
+            for got, want_row in zip((batch.x, batch.s, batch.xhat), want):
+                np.testing.assert_array_equal(got.view(np.int64), want_row.view(np.int64))
+
+    def test_rows_are_read_only_views_of_the_draws(self):
+        batch = sample_joint(UNIT, mmse_reconstruction(), 10, seed=1)
+        for i, row in enumerate((batch.x, batch.s, batch.xhat)):
+            assert row.base is not None and np.shares_memory(row, batch.draws)
+            assert np.array_equal(row, batch.draws[i])
+            assert not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            batch.x[0] = 0.0
+
+    def test_plugin_estimates_equal_the_stacked_form(self, monkeypatch):
+        fits = []
+        cov = np.cov
+
+        def recording_cov(m, *args, **kwargs):
+            fits.append(cov(m, *args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(np, "cov", recording_cov)
+        for src, target in seeded_pairs():
+            batch = sample_joint(src, target, 500, seed=9)
+            with np.errstate(divide="ignore"):  # the tiny pair's var_x * var_h is 0
+                est = plugin_estimates(batch)
+            d = batch.x - batch.xhat
+            dsq = d * d
+            assert est["mse_hat"] == float(dsq.mean())
+            assert est["se_mse"] == float(dsq.std(ddof=1) / math.sqrt(batch.n))
+            want = cov(np.stack([batch.x, batch.s, batch.xhat]), ddof=1)
+            np.testing.assert_array_equal(fits[-1].view(np.int64), want.view(np.int64))
+
+    def test_memory(self):
+        # No timing: tracemalloc counts numpy's buffers.  The batch is 24 B per
+        # sample; sample_joint adds one scratch row and plugin_estimates the
+        # squared residual, then np.cov's copy of the batch.
+        n = 100_000
+        rec = mmse_reconstruction()
+        plugin_estimates(sample_joint(UNIT, rec, 100, seed=0))  # first-call set-up
+        tracemalloc.start()
+        try:
+            batch = sample_joint(UNIT, rec, n, seed=3)
+            sample_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            plugin_estimates(batch)  # the batch it holds counts
+            plugin_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample_peak <= 40 * n
+        assert plugin_peak <= 56 * n
 
 
 class TestPluginEstimates:

@@ -67,8 +67,7 @@ CASES = {
         gap_holds=True, ratio_holds=True, sandwich_holds=False, gap_ub=None, ratio_ub=1.5,
         degenerate=False)),
     "SampleBatch": (SampleBatch, lambda: dict(
-        n=3, seed=7, x=np.array([0.5, 1.0, -2.0]), s=np.array([0.0, 1.0, 2.0]),
-        xhat=np.array([0.25, 0.5, -1.0]))),
+        n=3, seed=7, draws=np.array([[0.5, 1.0, -2.0], [0.0, 1.0, 2.0], [0.25, 0.5, -1.0]]))),
     "DiscreteDistribution": (DiscreteDistribution, _dist),
     "DiscreteSource": (DiscreteSource, lambda: dict(
         x_values=[-1.0, 1.0], s_size=2, pmf=[[0.375, 0.125], [0.125, 0.375]])),
@@ -199,3 +198,9 @@ def test_copies_rerun_the_checks():
         copy.deepcopy(bad)
     with pytest.raises(ParameterError):
         pickle.loads(pickle.dumps(bad))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,), (9,), (3, 3, 1), (1, 3, 3)])
+def test_sample_batch_refuses_draws_of_the_wrong_shape(shape):
+    with pytest.raises(ParameterError, match="shape"):
+        SampleBatch(3, 7, np.zeros(shape))
