@@ -17,8 +17,11 @@ SHA-256 of ``git diff HEAD``, read before any run.  A file made from a dirty
 tree is stamped by those last two fields, not refused.
 
 The full per-job records, with every output digest, stay in
-``.rdcbench/results/`` of each checkout, where ``benchmarks/digests.py``
-compares them.
+``.rdcbench/results/`` of each checkout.  At the end ``digests.compare``
+matches the two checkouts' untraced records job by job, and both files get
+its per-kind tally of equal jobs, the number of differing jobs and the
+first ``DIFF_LINES`` of their lines (``benchmarks/digests.py`` prints them
+all).
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ import sys
 from importlib import metadata
 from pathlib import Path
 
+import digests
+
 SEEDS = (1, 2)
 TRACE_WORKLOAD = "region-enum"
+DIFF_LINES = 50  # a changed oracle can differ in thousands of jobs
 
 
 def rdcbench(root: Path, *args: str) -> dict:
@@ -110,8 +116,13 @@ def main(argv=None) -> int:
         traced.append(rdcbench(
             roots[side], "--workload", TRACE_WORKLOAD, "--seed", str(SEEDS[0]), "--trace", "1"
         ))
+    lines, _, differing = digests.compare(*roots)
+    print("\n".join(lines), file=sys.stderr)
+    tally = lines[: len(lines) - differing]
+    outputs = {"tally": tally, "differing": differing, "diff_lines": lines[len(tally):][:DIFF_LINES]}
     for side, label in enumerate(args.labels):
         bench = {
+            "outputs": outputs,
             "label": label,
             "provenance": provs[side],
             "seeds": list(SEEDS),

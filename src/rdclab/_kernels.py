@@ -14,15 +14,20 @@ Kernels:
   * w2_quantile_pairs   - monotone-coupling squared transport cost between
                           two discrete distributions on the line.
   * cond_entropy_terms  - the H(S|.) terms joint * (log marginal - log joint),
-                          summed by ``_dc_scan``'s table and by
+                          summed by ``dc_scan``'s table and by
                           ``discrete_region.cond_entropy_discrete``.
 
-The decoder scans walk the grid through ``_blocks``, the one place that
-knows the decoder order; a block broadcasts the last symbol's row over a run
-of prefixes.  ``dc_scan`` gathers H(S|X̂) terms from a table over the values
-an atom's row entries take, far fewer than the decoders, and writes each
-decoder's (d, c) straight into its output, whole prefix rows of about
-``_GATHER`` decoders at a time.  ``dc_scan``'s (d, c) are the only grid-sized
+The decoder scans walk the grid through ``_block_sums``, the one place that
+knows the decoder order and forms a decoder's sums: it sums the leading
+n_z - 1 symbols' tables once for every prefix, then yields runs of prefixes
+crossed with the last symbol's row.  ``outer_scan`` walks blocks of
+``_CHUNK`` decoders; ``dc_scan`` takes every d as one block, its output, and
+walks the H(S|X̂) codes in blocks of ``_GATHER``.  The prefix table holds
+n_rows**(n_z - 1) * features values, never more than the 16 B per decoder
+``dc_scan`` returns, as n_rows >= m for an alphabet of m atoms.  ``dc_scan``
+gathers H(S|X̂) terms from a table over the tuples of values an atom's row
+entries take, far fewer than the decoders, and sums each decoder's terms
+straight into its output.  ``dc_scan``'s (d, c) are the only grid-sized
 arrays: their consumers fold them in ``_CHUNK`` slices.  Loop forms of the
 grid and decoder scans live in ``tests/test_kernels.py`` as reference oracles.
 
@@ -213,42 +218,27 @@ def _grid_point(var_x, vh, h_s, rho1_sq, theta):
 # ---------------------------------------------------------------------------
 
 
-def _blocks(n_rows, n_z):
-    """Yield (pre, last) blocks of the decoders on the grid, in odometer order.
+def _block_sums(tables, size):
+    """Yield ``sum_z tables[z][:, digit_z]`` of every decoder, added in z order
+    from 0, as (features, decoders) blocks of about ``size`` decoders.
 
-    Decoder n's digits are those of n in base n_rows, last symbol fastest.  A
-    block holds, prefix outer, the decoders whose leading n_z - 1 digits are a
-    row of ``pre`` and whose last digit is in ``last``: at most ``_CHUNK``.
+    Decoder n's digits are those of n in base n_rows, last symbol fastest.  The
+    sums over the leading n_z - 1 digits are formed once for every prefix; a
+    block is a run of prefixes crossed with the last digit, which is split only
+    when one row is longer than ``size``.
     """
-    n_pre = max(_CHUNK // n_rows, 1)
-    n_last = min(n_rows, _CHUNK)
-    total = n_rows ** (n_z - 1)
-    for start in range(0, total, n_pre):
-        rest = np.arange(start, min(start + n_pre, total), dtype=np.int64)
-        pre = np.empty((rest.size, n_z - 1), dtype=np.int64)
-        for z in range(n_z - 2, -1, -1):
-            rest, pre[:, z] = np.divmod(rest, n_rows)
-        for lo in range(0, n_rows, n_last):
-            yield pre, np.arange(lo, min(lo + n_last, n_rows))
-
-
-def _block_parts(tables):
-    """Yield per block the sums ``sum_{z < n_z - 1} tables[z][:, digit_z]`` over
-    the prefix digits, added in z order, as (features, prefixes), and the last
-    symbol's ``tables[-1][:, last]`` as (features, last)."""
     n_z, k, n_rows = tables.shape
-    for pre, last in _blocks(n_rows, n_z):
-        acc = np.zeros((k, pre.shape[0]), dtype=tables.dtype)
-        for z in range(n_z - 1):
-            acc += tables[z][:, pre[:, z]]
-        yield acc, tables[-1][:, last]
-
-
-def _block_sums(tables):
-    """Yield per block ``sum_z tables[z][:, digit_z]`` of each decoder, added in
-    z order, as a (features, decoders) array."""
-    for head, tail in _block_parts(tables):
-        yield (head[:, :, None] + tail[:, None]).reshape(tables.shape[1], -1)
+    head = np.zeros((k, 1), dtype=tables.dtype)
+    for table in tables[:-1]:
+        head = (head[:, :, None] + table[:, None]).reshape(k, -1)
+    n_pre = max(size // n_rows, 1)
+    n_last = min(n_rows, size)
+    for i in range(0, head.shape[1], n_pre):
+        for lo in range(0, n_rows, n_last):
+            tail = tables[-1][:, None, lo : lo + n_last]
+            # numpy's default order may lay a block out features fastest, where
+            # the add ran ~25% slower at levels 12
+            yield np.add(head[:, i : i + n_pre, None], tail, order="C").reshape(k, -1)
 
 
 def _entropy_records(rows, n_z, joint_zs):
@@ -264,10 +254,8 @@ def _entropy_records(rows, n_z, joint_zs):
     u = values.size
     code = inv.reshape(rows.shape).T[None] * u ** np.arange(n_z - 1, -1, -1)[:, None, None]
     code = code.astype(np.int32)  # each code sum indexes the u**n_z records
-    digits = np.indices((u,) * n_z).reshape(n_z, -1)
-    joint = values[digits[0], None] * joint_zs[0]
-    for z in range(1, n_z):
-        joint += values[digits[z], None] * joint_zs[z]
+    tables = values * joint_zs[:, :, None]  # [z, s, value]
+    joint = next(_block_sums(tables, u**n_z)).T.copy()
     term = cond_entropy_terms(joint, joint.sum(axis=-1)[:, None])
     return code, term.view(np.dtype((np.void, term.itemsize * term.shape[1]))).ravel()
 
@@ -280,28 +268,18 @@ def cond_entropy_terms(joint, marginal):
     return term
 
 
-def _dc_scan(rows, n_z, row_d, joint_zs):
-    code, records = _entropy_records(rows, n_z, joint_zs)
-    k = rows.shape[1]
-    out_d, out_c = np.empty((2, rows.shape[0] ** n_z))
-    pos = 0
-    blocks = zip(_block_parts(row_d[:, None]), _block_parts(code))
-    for ((head_d,), (tail_d,)), (head_c, tail_c) in blocks:
-        # Whole prefix rows, ~_GATHER decoders at a time, each decoder summed alone.
-        step = max(_GATHER // tail_d.size, 1)
-        for i in range(0, head_d.size, step):
-            c = head_c.T[i : i + step, None] + tail_c.T
-            d = out_d[pos : pos + c.shape[0] * tail_d.size].reshape(c.shape[:2])
-            np.add(head_d[i : i + step, None], tail_d, out=d)
-            term = records.take(c).view(np.float64).reshape(d.size, k, -1)
-            term.sum(axis=(1, 2), out=out_c[pos : pos + d.size])
-            pos += d.size
-    return out_d, out_c
-
-
 def dc_scan(rows, n_z, row_d, joint_zs):
     """Distortion and H(S|X̂) of every decoder, in odometer order."""
-    return _dc_scan(rows, n_z, row_d, joint_zs)
+    code, records = _entropy_records(rows, n_z, joint_zs)
+    k = rows.shape[1]
+    (d,) = next(_block_sums(row_d[:, None], rows.shape[0] ** n_z))
+    out_c = np.empty(d.size)
+    pos = 0
+    for c in _block_sums(code, _GATHER):
+        term = records.take(c.T).view(np.float64).reshape(c.shape[1], k, -1)
+        term.sum(axis=(1, 2), out=out_c[pos : pos + c.shape[1]])
+        pos += c.shape[1]
+    return d, out_c
 
 
 def budget_argmin(d, c, d_budget, n_rows, n_z):
@@ -320,7 +298,7 @@ def budget_argmin(d, c, d_budget, n_rows, n_z):
 
 def cmin_scan(rows, n_z, row_d, joint_zs, d_budget):
     """``budget_argmin`` over the (d, c) of every decoder on the grid."""
-    d, c = _dc_scan(rows, n_z, row_d, joint_zs)
+    d, c = dc_scan(rows, n_z, row_d, joint_zs)
     return budget_argmin(d, c, d_budget, rows.shape[0], n_z)
 
 
@@ -336,7 +314,7 @@ def outer_scan(rows, n_z, row_d, p_z, vals, p_xtilde, residual):
     tables = np.concatenate((row_d[:, None], np.swapaxes(p_z[:, None, None] * rows, 1, 2)), axis=1)
     violations = 0
     min_slack = np.inf
-    for sums in _block_sums(tables):
+    for sums in _block_sums(tables, _CHUNK):
         d, p_xhat = sums[0], sums[1:].T
         slack = d - residual - _w2_rows(xv, xp, vals, p_xhat)
         min_slack = min(min_slack, float(slack.min()))

@@ -31,9 +31,9 @@ its value is still about -0.061*var_x.
 from __future__ import annotations
 
 import math
-import operator
 
-from .errors import Frozen, ParameterError, check_finite, check_nonneg, checked_square
+from .errors import Frozen, ParameterError, check_finite, check_nonneg, checked_index
+from .errors import checked_square
 from .gaussian_model import GaussianPairSource, GaussianReconstruction, mse_of_reconstruction
 from .gaussian_tradeoff import c_threshold
 from .universal_gaussian import encoder_for_rate, mmse_gain
@@ -205,18 +205,11 @@ def theorem5_gaussian_harness(
     sigma_x*sqrt(1-e^{-2R}) from the rate-R minimum-MSE decoder, C3 =
     c_threshold(R), and D_b the MSE at gamma* = Cov(X, Z), the least
     distortion at the least loss, which every nonzero gain reaches.  Rate 0 is
-    flagged degenerate.  The seed must be an integer >= 0 (a numpy integer
-    too; a bool is refused).
+    flagged degenerate.  ``n`` must be an integer >= 1 and the seed one >= 0
+    (numpy integers too; a bool is refused).
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    try:
-        if isinstance(seed, bool):
-            raise TypeError
-        seed = operator.index(seed)
-    except TypeError:
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}") from None
-    check_nonneg("seed", seed)
+    n = checked_index("n", n, 1)
+    seed = checked_index("seed", seed, 0)
     if rate is not None:
         check_nonneg("rate", rate)
     rates = [float(rate)] * n if rate is not None else _uniform_draws(seed, n, 0.01, 2.5)

@@ -84,15 +84,21 @@ def write_curve_csv(path: str | Path, records: list[CurveRecord]) -> None:
 
 
 def read_curve_csv(path: str | Path) -> list[CurveRecord]:
-    lines = Path(path).read_text().splitlines()
+    """The records of a curve CSV; a fault raises ``ParameterError`` naming the
+    file and, for a row, its line."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read curve CSV {path}: {exc}") from exc
     if not lines or lines[0] != CURVE_HEADER:
         raise ParameterError(f"bad curve CSV header in {path}")
     records = []
-    for line in lines[1:]:
-        curve_id, model, rate, c, d, branch = line.split(",")
-        records.append(
-            CurveRecord(curve_id, model, float(rate), float(c), float(d), branch)
-        )
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            curve_id, model, rate, c, d, branch = line.split(",")
+            records.append(CurveRecord(curve_id, model, float(rate), float(c), float(d), branch))
+        except ValueError as exc:
+            raise ParameterError(f"curve CSV {path}, line {number}: {exc}") from None
     return records
 
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import Frozen, InfeasibleBudgetError, ParameterError, SizeGuardError, check_nonneg
+from .errors import checked_index
 
 _STOCHASTIC_TOL = 1e-12
 _MAX_LP_SUPPORT = 64
@@ -389,8 +390,7 @@ def _grid(src: DiscreteSource, encoder: Channel, levels: int):
     the simplex-grid rows over it, ``row_d[z, r]`` the distortion symbol z
     contributes when it decodes with row r, and the joint p(z, s).
     """
-    if levels < 1:
-        raise ParameterError("levels must be >= 1")
+    levels = checked_index("levels", levels, 1)
     red = mmse_reduction(src, encoder)
     vals = default_xhat_values(src, red)
     combos = math.comb(levels + vals.size - 1, vals.size - 1) ** encoder.n_out
@@ -408,8 +408,7 @@ def _grid(src: DiscreteSource, encoder: Channel, levels: int):
 
 def _check_c_min_args(d_budget: float, levels: int) -> None:
     check_nonneg("d_budget", d_budget)
-    if levels < 3:
-        raise ParameterError("levels must be >= 3")
+    checked_index("levels", levels, 3)
 
 
 def _c_min_solution(src, encoder, grid, idx, best_c) -> CMinSolution:
@@ -454,6 +453,7 @@ def extreme_point_b(
 
 def _check_region_size(src: DiscreteSource, encoder: Channel, levels: int) -> None:
     _check_encoder(src, encoder)
+    checked_index("levels", levels, 1)
     if (
         src.x_values.size > _MAX_ALPHABET
         or src.s_size > _MAX_ALPHABET
@@ -565,8 +565,7 @@ def discretize_gaussian(mu: float, var: float, n: int = 10_000) -> DiscreteDistr
 
     if var < 0.0:
         raise ParameterError("variance must be >= 0")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = checked_index("n", n, 1)
     if var == 0.0:
         return DiscreteDistribution(np.array([mu]), np.array([1.0]))
     q = (np.arange(n) + 0.5) / n

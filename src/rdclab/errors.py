@@ -7,8 +7,10 @@ budget); a classification budget c may be +inf (no budget) or -inf (one
 nothing meets); means, variances, covariances, gains and the entries of
 discrete distributions and channels must be finite; the variances of a
 Gaussian source lie in ``VAR_RANGE``; a gain or covariance whose square
-overflows is refused.  The checks here use ``math`` only: they run in
-constructors built thousands of times a sweep.  The arrays of the discrete
+overflows is refused; an integer argument (a size, seed or grid level) is
+an int or a numpy integer, never a bool, and at least its least value.  The
+checks here use ``math`` and ``operator`` only: they run in constructors
+built thousands of times a sweep.  The arrays of the discrete
 value types pass one check, ``discrete_region._frozen_array``, which refuses
 ragged, empty, wrong-rank, non-finite and out-of-float-range input and
 returns a read-only float64 copy: constructors copy their input, so a later
@@ -18,6 +20,7 @@ A Gaussian pair is checked in two places, once each: a source has rho^2 < 1
 """
 
 import math
+import operator
 
 
 # var_x * var_s (in rho^2) stays a normal float; var_xhat is not bounded, so it
@@ -95,6 +98,19 @@ def check_scale(name: str, value: float) -> None:
     lo, hi = VAR_RANGE
     if not lo <= value <= hi:
         raise ParameterError(f"{name} = {value} is out of range [{lo:g}, {hi:g}]")
+
+
+def checked_index(name: str, value, least: int) -> int:
+    """value as an int, refusing a bool, a non-integer and a value below least."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}") from None
+    if index < least:
+        raise ParameterError(f"{name} must be >= {least}")
+    return index
 
 
 def checked_square(name: str, value: float) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import Frozen, ParameterError, check_finite, check_nonneg, check_not_nan
+from .errors import Frozen, ParameterError, check_finite, check_nonneg, check_not_nan, checked_index
 from .gaussian_model import GaussianPairSource, TradeoffPoint
 
 STATUSES = ("feasible", "infeasible", "unbounded")
@@ -219,8 +219,8 @@ def grid_oracle_rate(
     the grid's exact minimum by per-row boundary search, with the full scan
     in ``tests/`` as its oracle.
     """
-    if n_sigma < 16 or n_theta < 16:
-        raise ParameterError("grid resolution must be at least 16 per axis")
+    n_sigma = checked_index("n_sigma", n_sigma, 16)
+    n_theta = checked_index("n_theta", n_theta, 16)
     check_nonneg("distortion budget", d)
     check_not_nan("classification budget c", c)
     from . import _kernels  # numpy loads here, not with the closed forms
@@ -242,8 +242,7 @@ def boundary_curve(
     D follows the printed case-2 expression.  Empty when the interval is
     empty (rate 0 or an uncorrelated label).
     """
-    if n_points < 2:
-        raise ParameterError("n_points must be >= 2")
+    n_points = checked_index("n_points", n_points, 2)
     check_nonneg("rate", rate)
     if rate == 0.0:
         return []  # no boundary below the trivial point at zero rate

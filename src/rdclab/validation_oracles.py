@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import Frozen, ParameterError
+from .errors import Frozen, ParameterError, checked_index
 from .gaussian_model import (
     GaussianPairSource,
     GaussianReconstruction,
@@ -71,9 +71,14 @@ def sample_joint(
     n: int,
     seed: int,
 ) -> SampleBatch:
-    """Draw n samples of (X, S, X̂); the target is checked by ``squared_correlation``."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    """Draw n samples of (X, S, X̂); the target is checked by ``squared_correlation``.
+
+    ``n`` must be an integer >= 1 and ``seed`` one in [0, 2**128), Philox's
+    key range."""
+    n = checked_index("n", n, 1)
+    seed = checked_index("seed", seed, 0)
+    if seed >= 2**128:
+        raise ParameterError(f"seed must be below 2**128, got {seed}")
     if not isinstance(target, GaussianReconstruction):
         raise ParameterError(f"unsupported target type {type(target)!r}")
     t = squared_correlation(src, target)
@@ -122,14 +127,16 @@ def plugin_estimates(batch: SampleBatch) -> dict:
         h_hat = differential_entropy(var_s) if var_s > 0.0 else math.nan
         se_h = math.sqrt(0.5 / n)
     else:
-        r = cov[0, 2] / math.sqrt(var_x * var_h)
-        if 1.0 - r * r <= 1e-15:
+        # Squared correlations as two ratios, as ``squared_correlation`` forms
+        # t: a product of two tiny variances underflows.
+        r_sq = (cov[0, 2] / var_x) * (cov[0, 2] / var_h)
+        if 1.0 - r_sq <= 1e-15:
             degenerate = True
             i_hat, se_i = math.inf, math.nan
         else:
-            i_hat = -0.5 * math.log1p(-r * r)
-            se_i = abs(r) / math.sqrt(n)
-        r_sh_sq = cov[1, 2] ** 2 / (var_s * var_h)
+            i_hat = -0.5 * math.log1p(-r_sq)
+            se_i = math.sqrt(r_sq) / math.sqrt(n)
+        r_sh_sq = (cov[1, 2] / var_s) * (cov[1, 2] / var_h)
         resid = var_s * (1.0 - r_sh_sq)
         if resid <= 0.0:
             degenerate = True

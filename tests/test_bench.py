@@ -1,5 +1,5 @@
-"""``benchmarks/bench.py``: the run order of a BENCH pair and the two files it
-writes, with a stubbed runner; no benchmark runs."""
+"""``benchmarks/bench.py``: the run order of a BENCH pair, the two files it
+writes and their output check, with a stubbed runner; no benchmark runs."""
 
 import json
 import sys
@@ -23,6 +23,14 @@ def test_pair_alternates_the_checkouts_and_writes_both_files(tmp_path, monkeypat
 
     def fake_rdcbench(root, *args):
         runs.append((root.name, *args))
+        if args[1] == "all":  # result files as rdcbench leaves them: one job differs
+            out = root / ".rdcbench" / "results"
+            out.mkdir(parents=True, exist_ok=True)
+            jobs = [{"kind": "w2_pair", "sha256": {"out": "aa"}}] * 2
+            if root.name == "change" and args[-1] == "2":
+                jobs = [jobs[0], {"kind": "w2_pair", "sha256": {"out": "bb"}}]
+            text = json.dumps({"workload": "library-oracles", "jobs": jobs})
+            (out / f"library-oracles-seed{args[-1]}-trace0.json").write_text(text)
         value = float(len(runs))
         return {"argv": ["rdcbench/run.py", *args], "result": {"metrics": {"m": {"value": value}}}}
 
@@ -49,6 +57,11 @@ def test_pair_alternates_the_checkouts_and_writes_both_files(tmp_path, monkeypat
         assert got["medians"] == {"m": (values[0] + values[1]) / 2}
         assert got["per_layer"]["metrics"] == {"m": values[2]}
         assert [run[0] for run in got["run_order"]] == ["p", "c", "c", "p", "p", "c"]
+        assert got["outputs"] == {
+            "tally": ["library-oracles  w2_pair              3/4 equal"],
+            "differing": 1,
+            "diff_lines": ["  library-oracles-seed2-trace0.json job 1 (w2_pair): sha256 differ"],
+        }
 
 
 def test_a_root_without_rdcbench_is_refused(tmp_path, monkeypatch):

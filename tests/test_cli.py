@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from rdclab.cli import (
     write_curve_csv,
     write_json,
 )
+from rdclab.errors import ParameterError
 
 HB01 = 0.32508297339144824
 
@@ -53,6 +55,24 @@ class TestCurveCsvFormat:
     def test_vocabulary_enforced(self):
         with pytest.raises(Exception):
             CurveRecord("x", "mystery", 0.0, 0.0, 0.0, "case1")
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [
+            ("printed_R0.1,printed,0.1,1.3,0.5", "not enough values to unpack"),
+            ("printed_R0.1,printed,0.1,abc,0.5,case2", "could not convert string to float"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, row, fault, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(f"{CURVE_HEADER}\nprinted_R0.1,printed,0.1,1.2,0.5,case2\n{row}\n")
+        with pytest.raises(ParameterError, match=f"{re.escape(str(path))}, line 3: {fault}"):
+            read_curve_csv(path)
+
+    def test_unreadable_file_names_it(self, tmp_path):
+        path = tmp_path / "none.csv"
+        with pytest.raises(ParameterError, match=f"cannot read curve CSV {re.escape(str(path))}"):
+            read_curve_csv(path)
 
 
 class TestGaussCurves:

@@ -12,6 +12,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,18 +30,25 @@ from rdclab import (
     boundary_curve,
     c_min,
     c_min_solver,
+    discretize_gaussian,
     encoder_for_rate,
     extreme_point_b,
     gaussian_w2_squared,
     grid_oracle_rate,
     rdc_rate,
+    region_approx,
     region_sweep,
     sample_joint,
     sandwich_check,
     theorem5_gaussian_harness,
 )
 from rdclab.cli import bundled_source_path, load_discrete_source, main, read_curve_csv
-from rdclab.discrete_region import DiscreteSource, cond_entropy_discrete, region_report
+from rdclab.discrete_region import (
+    DiscreteSource,
+    cond_entropy_discrete,
+    outer_bound_sweep,
+    region_report,
+)
 from rdclab.errors import VAR_RANGE, check_finite, check_nonneg, check_not_nan
 from rdclab.gaussian_model import (
     cond_entropy_s_given_xhat,
@@ -91,6 +99,53 @@ class TestChecks:
 def test_nan_is_refused(call):
     with pytest.raises(ParameterError):
         call()
+
+
+HALF_REC = GaussianReconstruction(0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, least",
+    [
+        pytest.param(lambda v: sample_joint(HALF, HALF_REC, v, 1), 1, id="sample_joint-n"),
+        pytest.param(lambda v: sample_joint(HALF, HALF_REC, 5, v), 0, id="sample_joint-seed"),
+        pytest.param(lambda v: discretize_gaussian(0.0, 1.0, v), 1, id="discretize_gaussian-n"),
+        pytest.param(lambda v: grid_oracle_rate(HALF, 0.5, 1.0, v, 16), 16, id="grid-n_sigma"),
+        pytest.param(lambda v: grid_oracle_rate(HALF, 0.5, 1.0, 16, v), 16, id="grid-n_theta"),
+        pytest.param(lambda v: boundary_curve(HALF, 0.5, v), 2, id="boundary_curve-n_points"),
+        pytest.param(lambda v: theorem5_gaussian_harness(HALF, n=v), 1, id="harness-n"),
+        pytest.param(lambda v: theorem5_gaussian_harness(HALF, seed=v, n=2), 0, id="harness-seed"),
+        pytest.param(lambda v: region_approx(*FLIP, v), 1, id="region_approx-levels"),
+        pytest.param(lambda v: c_min_solver(*FLIP, 0.5, v), 3, id="c_min_solver-levels"),
+        pytest.param(lambda v: extreme_point_b(*FLIP, 0.5, v), 3, id="extreme_point_b-levels"),
+        pytest.param(lambda v: outer_bound_sweep(*FLIP, v), 1, id="outer_bound_sweep-levels"),
+        pytest.param(lambda v: region_report(*FLIP, 0.5, v), 3, id="region_report-levels"),
+    ],
+)
+def test_integer_arguments(call, least):
+    # 2.5 and "3" once raised TypeError or a numpy ValueError, True ran as 1,
+    # and below the least value a numpy ValueError could come first.
+    for value in (2.5, True, "3", least - 1):
+        with pytest.raises(ParameterError):
+            call(value)
+    assert _plain(call(np.int64(least + 1))) == _plain(call(least + 1))
+
+
+def _plain(value):
+    """A result as nested lists of typed scalars and array bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, _plain(list(vars(value).values()))
+    return type(value), value
+
+
+def test_sample_joint_seed_is_a_philox_key():
+    assert sample_joint(HALF, HALF_REC, 1, 2**128 - 1).seed == 2**128 - 1
+    with pytest.raises(ParameterError, match="below 2\\*\\*128"):
+        sample_joint(HALF, HALF_REC, 1, 2**128)
 
 
 @pytest.mark.parametrize("status", ["bogus", "Feasible", None])

@@ -585,22 +585,20 @@ class TestOnePass:
 class TestDecoderOrder:
     @pytest.mark.parametrize("n_z, n_rows", [(1, 9000), (2, 100), (3, 25)])
     def test_digits_follow_itertools_product(self, n_z, n_rows):
-        blocks = list(_kernels._blocks(n_rows, n_z))
-        digits = np.concatenate([
-            np.column_stack((np.repeat(pre, last.size, axis=0), np.tile(last, len(pre))))
-            for pre, last in blocks
-        ])
-        want = np.array(list(itertools.product(range(n_rows), repeat=n_z)))
+        # Place-value tables: decoder n's sum is n itself when its digits are
+        # those of n in base n_rows, last symbol fastest (itertools.product).
+        tables = (np.arange(n_rows) * n_rows ** np.arange(n_z - 1, -1, -1)[:, None])[:, None]
+        blocks = list(_kernels._block_sums(tables, _kernels._CHUNK))
         assert n_rows**n_z > _kernels._CHUNK and len(blocks) > 1
-        assert max(len(pre) * last.size for pre, last in blocks) <= _kernels._CHUNK
-        np.testing.assert_array_equal(digits, want)
+        assert max(block.shape[1] for block in blocks) <= _kernels._CHUNK
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1), [np.arange(n_rows**n_z)])
 
 
 class TestChunkBoundaries:
     """The slice folds of ``budget_argmin`` and the frontier's prefilter at a
     7-decoder ``_CHUNK``, so that slices split C-ties and put a dominator and
-    the points it dominates on either side of a boundary; ``dc_scan``'s bits
-    do not depend on ``_CHUNK`` or ``_GATHER``."""
+    the points it dominates on either side of a boundary; ``outer_scan``'s
+    bits do not depend on ``_CHUNK`` nor ``dc_scan``'s on ``_GATHER``."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
@@ -645,16 +643,16 @@ class TestChunkBoundaries:
             assert tuple(idx) == np.unravel_index(flat, (rows.shape[0],) * n_z)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_dc_scan_bits_do_not_depend_on_the_chunk(self, chunk):
+    def test_outer_scan_bits_do_not_depend_on_the_chunk(self, chunk):
         # 15 rows and three encoder symbols: 3,375 decoders
         src, enc = load_discrete_source(GOLDEN / "x2_s2_z3_source.json")
-        _, _, rows, row_d, b = _grid(src, enc, 2)
-        want = _kernels.dc_scan(rows, 3, row_d, b)
+        args = outer_scan_args(src, enc, 2)
+        violations, min_slack = _outer_scan_py(*args, _kernels.outer_tol(args[4]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "_CHUNK", chunk)
-            got = _kernels.dc_scan(rows, 3, row_d, b)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+            got = _kernels.outer_scan(*args)
+        assert got[0] == violations
+        assert np.float64(got[1]).view(np.int64) == np.float64(min_slack).view(np.int64)
 
     @pytest.mark.parametrize("gather", [1, 16, 100, 10**6])
     def test_dc_scan_bits_do_not_depend_on_the_gather(self, gather):

@@ -161,8 +161,7 @@ class TestDrawBuffer:
         monkeypatch.setattr(np, "cov", recording_cov)
         for src, target in seeded_pairs():
             batch = sample_joint(src, target, 500, seed=9)
-            with np.errstate(divide="ignore"):  # the tiny pair's var_x * var_h is 0
-                est = plugin_estimates(batch)
+            est = plugin_estimates(batch)
             d = batch.x - batch.xhat
             dsq = d * d
             assert est["mse_hat"] == float(dsq.mean())
@@ -207,6 +206,15 @@ class TestPluginEstimates:
         assert abs(est["mse_hat"] - 0.51) <= 3.0 * est["se_mse"]
         assert abs(est["i_xxhat_hat"] - R_STAR) <= 3.0 * est["se_i"]
         assert abs(est["h_s_given_xhat_hat"] - 1.2816543165514738) <= 3.0 * est["se_h"]
+
+    def test_tiny_scale_pair_is_not_degenerate(self):
+        # var_x * var_h underflows to 0 here; the two-ratio correlations do not.
+        est = plugin_estimates(sample_joint(TINY_SRC, TINY_REC, 100_000, seed=3))
+        assert not est["degenerate"]
+        assert abs(est["mse_hat"] - mse_of_reconstruction(TINY_SRC, TINY_REC)) <= 3 * est["se_mse"]
+        assert abs(est["i_xxhat_hat"] - mutual_info_x_xhat(TINY_SRC, TINY_REC)) <= 3 * est["se_i"]
+        h = cond_entropy_s_given_xhat(TINY_SRC, TINY_REC)
+        assert abs(est["h_s_given_xhat_hat"] - h) <= 3 * est["se_h"]
 
     def test_constant_decoder(self):
         rep = encoder_for_rate(UNIT, R_STAR)
