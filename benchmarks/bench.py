@@ -4,14 +4,15 @@
 
 For each of seeds 1 and 2 it runs ``rdcbench/run.py --workload all`` in both
 checkouts back to back, the parent first on seed 1 and the change first on
-seed 2, so host drift between the runs falls on both sides alike.  Then it
-runs ``rdcbench/run.py --workload region-enum --trace 1`` in each, parent
-first.  Every run takes rdcbench's default time and runs in its own
-checkout, with that checkout's ``rdcbench/``.  It writes ``BENCH_<P>.json``
-and ``BENCH_<C>.json`` in the current directory.  Each file holds its
-checkout's result lines (the last stdout line of each run), the median over
-the seeds of each end-to-end metric, the traced run's per-layer metrics, the
-order of all six runs, and its own provenance: the python, numpy and scipy
+seed 2, so host drift between the runs falls on both sides alike.  Then, for
+each workload W in ``TRACE_WORKLOADS``, it runs ``rdcbench/run.py --workload
+W --seed 1 --trace 1`` in each, parent first.  Every run takes rdcbench's
+default time and runs in its own checkout, with that checkout's
+``rdcbench/``.  It writes ``BENCH_<P>.json`` and ``BENCH_<C>.json`` in the
+current directory.  Each file holds its checkout's result lines (the last
+stdout line of each run), the median over the seeds of each end-to-end
+metric, each traced run's per-layer metrics under its workload's name, the
+order of all eight runs, and its own provenance: the python, numpy and scipy
 versions, and the checkout's git commit, ``git status --porcelain`` and the
 SHA-256 of ``git diff HEAD``, read before any run.  A file made from a dirty
 tree is stamped by those last two fields, not refused.
@@ -40,7 +41,8 @@ from pathlib import Path
 import digests
 
 SEEDS = (1, 2)
-TRACE_WORKLOAD = "region-enum"
+# region-enum times the decoder grid; library-oracles the oracles, the LP among them.
+TRACE_WORKLOADS = ("region-enum", "library-oracles")
 DIFF_LINES = 50  # a changed oracle can differ in thousands of jobs
 
 
@@ -110,12 +112,13 @@ def main(argv=None) -> int:
         for side in (0, 1) if k % 2 == 0 else (1, 0):
             order.append([args.labels[side], "all", seed])
             end_to_end[side].append(rdcbench(roots[side], "--workload", "all", "--seed", str(seed)))
-    traced = []
-    for side in (0, 1):
-        order.append([args.labels[side], TRACE_WORKLOAD, SEEDS[0]])
-        traced.append(rdcbench(
-            roots[side], "--workload", TRACE_WORKLOAD, "--seed", str(SEEDS[0]), "--trace", "1"
-        ))
+    traced: list[dict[str, dict]] = [{}, {}]
+    for workload in TRACE_WORKLOADS:
+        for side in (0, 1):
+            order.append([args.labels[side], workload, SEEDS[0]])
+            traced[side][workload] = rdcbench(
+                roots[side], "--workload", workload, "--seed", str(SEEDS[0]), "--trace", "1"
+            )
     lines, _, differing = digests.compare(*roots)
     print("\n".join(lines), file=sys.stderr)
     tally = lines[: len(lines) - differing]
@@ -127,12 +130,14 @@ def main(argv=None) -> int:
             "provenance": provs[side],
             "seeds": list(SEEDS),
             "run_order": order,
-            "result_lines": end_to_end[side] + [traced[side]],
+            "result_lines": end_to_end[side] + list(traced[side].values()),
             "medians": medians(end_to_end[side]),
             "per_layer": {
-                "workload": TRACE_WORKLOAD,
-                "seed": SEEDS[0],
-                "metrics": {k: v["value"] for k, v in traced[side]["result"]["metrics"].items()},
+                workload: {
+                    "seed": SEEDS[0],
+                    "metrics": {k: v["value"] for k, v in line["result"]["metrics"].items()},
+                }
+                for workload, line in traced[side].items()
             },
         }
         path = Path.cwd() / f"BENCH_{label}.json"

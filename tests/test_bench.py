@@ -1,5 +1,6 @@
 """``benchmarks/bench.py``: the run order of a BENCH pair, the two files it
-writes and their output check, with a stubbed runner; no benchmark runs."""
+writes with both traced workloads, and their output check, with a stubbed
+runner; no benchmark runs."""
 
 import json
 import sys
@@ -42,21 +43,32 @@ def test_pair_alternates_the_checkouts_and_writes_both_files(tmp_path, monkeypat
     assert bench.main([str(parent), str(change), "--labels", "p", "c"]) == 0
 
     all_ = ("--workload", "all", "--seed")
-    traced = ("--workload", "region-enum", "--seed", "1", "--trace", "1")
+    region = ("--workload", "region-enum", "--seed", "1", "--trace", "1")
+    oracles = ("--workload", "library-oracles", "--seed", "1", "--trace", "1")
     assert runs == [
         ("parent", *all_, "1"), ("change", *all_, "1"),
         ("change", *all_, "2"), ("parent", *all_, "2"),
-        ("parent", *traced), ("change", *traced),
+        ("parent", *region), ("change", *region),
+        ("parent", *oracles), ("change", *oracles),
     ]
     assert sorted(p.name for p in out.iterdir()) == ["BENCH_c.json", "BENCH_p.json"]
-    for label, name, values in (("p", "parent", [1.0, 4.0, 5.0]), ("c", "change", [2.0, 3.0, 6.0])):
+    for label, name, values in (
+        ("p", "parent", [1.0, 4.0, 5.0, 7.0]), ("c", "change", [2.0, 3.0, 6.0, 8.0])
+    ):
         got = json.loads((out / f"BENCH_{label}.json").read_text())
         assert got["label"] == label
         assert got["provenance"] == {"git_commit": name}
         assert [line["result"]["metrics"]["m"]["value"] for line in got["result_lines"]] == values
         assert got["medians"] == {"m": (values[0] + values[1]) / 2}
-        assert got["per_layer"]["metrics"] == {"m": values[2]}
-        assert [run[0] for run in got["run_order"]] == ["p", "c", "c", "p", "p", "c"]
+        assert got["per_layer"] == {
+            "region-enum": {"seed": 1, "metrics": {"m": values[2]}},
+            "library-oracles": {"seed": 1, "metrics": {"m": values[3]}},
+        }
+        assert [run[:2] for run in got["run_order"]] == [
+            ["p", "all"], ["c", "all"], ["c", "all"], ["p", "all"],
+            ["p", "region-enum"], ["c", "region-enum"],
+            ["p", "library-oracles"], ["c", "library-oracles"],
+        ]
         assert got["outputs"] == {
             "tally": ["library-oracles  w2_pair              3/4 equal"],
             "differing": 1,

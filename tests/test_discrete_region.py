@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,19 @@ def random_source(rng, n_x, n_s):
     return DiscreteSource(xv, n_s, pmf)
 
 
+def random_atoms(rng, n, zeros=False):
+    """n atoms in [0, 1), strictly increasing; with ``zeros``, about a third of
+    them (never all) carry no mass."""
+    support = np.sort(rng.random(n))
+    while np.any(np.diff(support) <= 1e-6):
+        support = np.sort(rng.random(n))
+    probs = rng.dirichlet(np.ones(n))
+    if zeros and n > 1:
+        probs[rng.permutation(n)[: n // 3]] = 0.0
+        probs /= probs.sum()
+    return DiscreteDistribution(support, probs)
+
+
 class TestNonFiniteEntries:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -89,6 +103,19 @@ class TestNonFiniteEntries:
     def test_constructor_rejects(self, make, bad):
         with pytest.raises(ParameterError, match="finite"):
             make(bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DiscreteDistribution([0.0, 0.5, 0.5], [0.2, 0.3, 0.5]),
+        lambda: DiscreteSource([-1.0, -1.0, 1.0], 2, [[0.2, 0.1], [0.1, 0.1], [0.0, 0.5]]),
+    ],
+    ids=["distribution", "source"],
+)
+def test_equal_adjacent_atoms_are_refused(make):
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        make()
 
 
 # Each value type built from the caller's arrays, and the attributes it copies.
@@ -282,6 +309,47 @@ class TestTransport:
         with pytest.raises(SizeGuardError):
             w2_squared_lp(big, big)
 
+    @pytest.mark.parametrize("n, m", [(64, 64), (64, 1), (1, 64)])
+    def test_lp_runs_at_the_size_cap(self, n, m):
+        rng = np.random.default_rng(n + 2 * m)
+        p, q = random_atoms(rng, n), random_atoms(rng, m)
+        span = max(p.support[-1], q.support[-1]) - min(p.support[0], q.support[0])
+        assert w2_squared_lp(p, q) == pytest.approx(w2_squared_quantile(p, q), abs=1e-12 * span**2)
+
+    @pytest.mark.parametrize("n, m", [(65, 1), (1, 65), (65, 64), (64, 65)])
+    def test_lp_size_guard_on_one_side(self, n, m):
+        p = DiscreteDistribution(np.arange(float(n)), np.full(n, 1.0 / n))
+        q = DiscreteDistribution(np.arange(float(m)), np.full(m, 1.0 / m))
+        with pytest.raises(SizeGuardError):
+            w2_squared_lp(p, q)
+
+    def test_lp_meets_quantile_on_zero_mass_atoms_and_one_atom_sides(self):
+        rng = np.random.default_rng(53)
+        shapes = [(1, m) for m in range(1, 9)] + [(n, 1) for n in range(2, 9)]
+        shapes += [tuple(int(k) for k in rng.integers(2, 9, 2)) for _ in range(30)]
+        for n, m in shapes:
+            p, q = random_atoms(rng, n, zeros=True), random_atoms(rng, m, zeros=True)
+            assert w2_squared_lp(p, q) == pytest.approx(w2_squared_quantile(p, q), abs=1e-12)
+
+    def test_lp_memory(self):
+        # No timing: tracemalloc counts numpy's and scipy's Python-side buffers.
+        # The call peaks at ~1.4 MB; the dense constraint form it replaced
+        # peaked at ~13 MB (its 127 x 4096 matrix alone is 4.2 MB).
+        rng = np.random.default_rng(59)
+        p, q = random_atoms(rng, 64), random_atoms(rng, 64)
+        w2_squared_lp(p, q)  # first-call set-up
+        tracemalloc.start()
+        try:
+            w2_squared_lp(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+    def test_discretize_gaussian_of_zero_variance_is_one_atom(self):
+        d = discretize_gaussian(0.7, 0.0)
+        assert d.support.tolist() == [0.7] and d.probs.tolist() == [1.0]
+
     def test_discretize_gaussian_moments(self):
         d = discretize_gaussian(0.3, 2.0, 20_000)
         assert d.mean() == pytest.approx(0.3, abs=1e-9)
@@ -295,6 +363,58 @@ class TestTransport:
             want = 0.5 + math.sqrt(2.0) * norm.ppf((np.arange(n) + 0.5) / n)
             got = discretize_gaussian(0.5, 2.0, n).support
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def dense_coupling_rows(n, m):
+    """The coupling constraints as ``w2_squared_lp`` once filled them: a dense
+    (n + m - 1) x nm matrix, row sums first, the last column sum dropped."""
+    a = np.zeros((n + m - 1, n * m))
+    for i in range(n):
+        a[i, i * m : (i + 1) * m] = 1.0
+    for jcol in range(m - 1):
+        a[n + jcol, jcol::m] = 1.0
+    return a
+
+
+class TestLPMatrix:
+    """``w2_squared_lp`` hands HiGHS a CSC matrix, unpresolved; the dense loop
+    it replaced is the oracle."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import scipy.optimize
+
+        seen = []
+        linprog = scipy.optimize.linprog
+
+        def recording_linprog(c, **kwargs):
+            seen.append(kwargs)
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+        return seen
+
+    @pytest.mark.parametrize(
+        "n, m", [*itertools.product(range(1, 7), repeat=2), (64, 64)]
+    )
+    def test_csc_equals_the_dense_loop(self, calls, n, m):
+        from scipy.sparse import csc_array
+
+        rng = np.random.default_rng(61)
+        p, q = random_atoms(rng, n), random_atoms(rng, m)
+        w2_squared_lp(p, q)
+        (kwargs,) = calls
+        a_eq = kwargs["A_eq"]
+        assert isinstance(a_eq, csc_array) and a_eq.has_canonical_format
+        dense = dense_coupling_rows(n, m)
+        assert a_eq.nnz == np.count_nonzero(dense)
+        np.testing.assert_array_equal(a_eq.toarray(), dense)
+        np.testing.assert_array_equal(kwargs["b_eq"], [*p.probs, *q.probs[:-1]])
+        assert kwargs["options"] == {
+            "presolve": False,
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        }
 
 
 class TestOuterBound:

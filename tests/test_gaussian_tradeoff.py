@@ -148,6 +148,18 @@ class TestDcrPrinted:
     def test_infeasible(self):
         assert dcr_distortion_printed(UNIT, 1.0, 0.2).status == "infeasible"
 
+    def test_exactly_at_c_min_is_feasible_case2(self):
+        # Case 2 at c_min is var_x - var_x * rho^2 / rho^2 = 0 in exact arithmetic.
+        v = dcr_distortion_printed(UNIT, c_min(UNIT), 0.2)
+        assert (v.status, v.branch) == ("feasible", "case2")
+        assert v.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_exactly_at_the_threshold_takes_case2(self):
+        # There case 2 meets case 1: var_x * e^{-2R}, up to rounding.
+        v = dcr_distortion_printed(UNIT, c_threshold(UNIT, 0.2), 0.2)
+        assert (v.status, v.branch) == ("feasible", "case2")
+        assert v.value == pytest.approx(math.exp(-0.4), abs=1e-12)
+
 
 class TestDcrOracle:
     def test_case1_matches_printed_exactly(self):
