@@ -275,13 +275,13 @@ def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     The coupling constraints go to HiGHS as a sparse CSC matrix built from
     index arrays: column ``i*m + j`` holds a 1 in row ``i`` (the row sums)
     and, for ``j < m-1``, in row ``n + j`` (the column sums; the last one is
-    implied by the rest).  The dense matrix this replaced cost ~290 fresh
-    pages a call at 32 x 32 atoms.  Presolve is off: with positive masses it
-    finds nothing to remove, and at 32 x 32 it cost 1.0-1.3 ms.  Together
-    the two cut a 32 x 32 call by ~23% (7.9 -> 6.1 ms on a 2-vCPU x86_64
-    host) and a 64 x 64 call by ~35%.  At 8 atoms a side or fewer,
-    scipy.sparse's fixed cost makes a call ~0.4-0.7 ms slower than the dense
-    form was (~2 ms against ~2.5 ms).
+    implied by the rest).  A dense matrix cost ~100-190 fresh pages a call
+    at 32 x 32 atoms and peaked at 13 MB at 64 x 64.  Presolve is off: with
+    positive masses it finds nothing to remove, and at 32 x 32 it cost
+    1.0-1.3 ms.  Together the two cut a 32 x 32 call by ~23% (7.9 -> 6.1 ms
+    on a 2-vCPU x86_64 host) and a 64 x 64 call by ~35%.  At 8 atoms a side
+    or fewer, scipy.sparse's fixed cost makes a call ~0.4-0.5 ms slower than
+    the dense form (~2.5 ms against ~2 ms).
     """
     from scipy.optimize import linprog
     from scipy.sparse import csc_array

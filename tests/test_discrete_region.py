@@ -380,26 +380,21 @@ class TestLPMatrix:
     """``w2_squared_lp`` hands HiGHS a CSC matrix, unpresolved; the dense loop
     it replaced is the oracle."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        import scipy.optimize
-
-        seen = []
-        linprog = scipy.optimize.linprog
-
-        def recording_linprog(c, **kwargs):
-            seen.append(kwargs)
-            return linprog(c, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
-        return seen
-
     @pytest.mark.parametrize(
         "n, m", [*itertools.product(range(1, 7), repeat=2), (64, 64)]
     )
-    def test_csc_equals_the_dense_loop(self, calls, n, m):
+    def test_csc_equals_the_dense_loop(self, monkeypatch, n, m):
+        import scipy.optimize
         from scipy.sparse import csc_array
 
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def recording_linprog(c, **kwargs):
+            calls.append(kwargs)
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
         rng = np.random.default_rng(61)
         p, q = random_atoms(rng, n), random_atoms(rng, m)
         w2_squared_lp(p, q)
