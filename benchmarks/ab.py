@@ -49,15 +49,17 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail / 2**n)
 
 
-def compare(parent: list[float], change: list[float]) -> dict:
+def compare(parent: list[float], change: list[float], better: str = "lower") -> dict:
     """Quartiles of each side's samples (one per round, at least two), and the
-    change's wins by round (lower is better) with their sign-test p-value."""
+    change's wins by round (``better`` is "lower" or "higher") with their
+    sign-test p-value."""
     sides = {}
     for side, xs in zip(SIDES, (parent, change)):
         q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
         sides[side] = {"median": median, "q1": q1, "q3": q3}
-    wins = sum(c < p for p, c in zip(parent, change))
-    losses = sum(c > p for p, c in zip(parent, change))
+    sign = {"lower": 1.0, "higher": -1.0}[better]
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+    losses = sum(sign * c > sign * p for p, c in zip(parent, change))
     return {
         **sides,
         "ratio": sides["change"]["median"] / sides["parent"]["median"],

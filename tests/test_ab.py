@@ -47,6 +47,19 @@ def test_compare_pairs_by_round_not_by_rank():
     assert got["p_value"] == ab.sign_test(1, 3) == 10 / 16
 
 
+def test_compare_counts_wins_in_the_metrics_direction():
+    parent, change = [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 3.0, 1.0]  # 2 higher, 1 tie, 1 lower
+    lower, higher = ab.compare(parent, change), ab.compare(parent, change, "higher")
+    assert (lower["wins"], lower["ties"]) == (1, 1)
+    assert (higher["wins"], higher["ties"]) == (2, 1)
+    assert higher["p_value"] == ab.sign_test(2, 1)
+    assert {k: v for k, v in higher.items() if k not in ("wins", "p_value")} == {
+        k: v for k, v in lower.items() if k not in ("wins", "p_value")
+    }
+    with pytest.raises(KeyError):
+        ab.compare(parent, change, "Higher")
+
+
 def test_a_hung_child_is_killed_and_stops_the_run(tmp_path, monkeypatch):
     package = tmp_path / "root" / "src" / "rdclab"
     package.mkdir(parents=True)

@@ -331,6 +331,18 @@ class TestTransport:
             p, q = random_atoms(rng, n, zeros=True), random_atoms(rng, m, zeros=True)
             assert w2_squared_lp(p, q) == pytest.approx(w2_squared_quantile(p, q), abs=1e-12)
 
+    def test_dantzig_pricing_meets_quantile_at_every_size(self):
+        # Dantzig pricing takes other simplex paths than HiGHS's default; the
+        # optimum it reaches must be the same on zero-mass atoms at every size.
+        rng = np.random.default_rng(67)
+        shapes = [(k, k) for k in range(1, 65)] + [(1, 64), (64, 1), (64, 64)]
+        for n, m in shapes:
+            p, q = random_atoms(rng, n, zeros=True), random_atoms(rng, m, zeros=True)
+            span = max(p.support[-1], q.support[-1]) - min(p.support[0], q.support[0])
+            assert w2_squared_lp(p, q) == pytest.approx(
+                w2_squared_quantile(p, q), abs=1e-12 * span**2
+            ), (n, m)
+
     def test_lp_memory(self):
         # No timing: tracemalloc counts numpy's and scipy's Python-side buffers.
         # The call peaks at ~1.4 MB; the dense constraint form it replaced
@@ -407,6 +419,7 @@ class TestLPMatrix:
         np.testing.assert_array_equal(kwargs["b_eq"], [*p.probs, *q.probs[:-1]])
         assert kwargs["options"] == {
             "presolve": False,
+            "simplex_dual_edge_weight_strategy": "dantzig",
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
         }

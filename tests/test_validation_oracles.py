@@ -1,6 +1,7 @@
 """Monte Carlo plug-in oracles: determinism, convergence, degeneracy flags,
 the bits of the in-place draw buffer, and its memory under ``tracemalloc``."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from rdclab import (
     GaussianReconstruction,
     LinearDecoder,
     ParameterError,
+    SampleBatch,
     cond_entropy_s_given_xhat,
     encoder_for_rate,
     linear_decoder_stats,
@@ -20,7 +22,7 @@ from rdclab import (
     plugin_estimates,
     sample_joint,
 )
-from rdclab.gaussian_model import squared_correlation
+from rdclab.gaussian_model import differential_entropy, squared_correlation
 
 UNIT = GaussianPairSource(0.0, 1.0, 0.0, 1.0, 0.7)
 R_STAR = 0.3366722766318828
@@ -127,12 +129,44 @@ def seeded_pairs():
     yield UNIT, GaussianReconstruction(0.0, 1.0, 1.0)  # identity: no noise on x̂
 
 
+def stacked_estimates(batch):
+    """``plugin_estimates`` in its stacked form: ``np.cov`` of the whole batch,
+    and the mean and ``std(ddof=1)`` of the full squared-residual row."""
+    n = batch.n
+    dsq = (batch.x - batch.xhat) ** 2
+    mse_hat, se_mse = float(dsq.mean()), float(dsq.std(ddof=1) / math.sqrt(n))
+    cov = np.cov(batch.draws, ddof=1)
+    var_x, var_s, var_h = cov[0, 0], cov[1, 1], cov[2, 2]
+    degenerate = var_h <= 0.0 or var_s <= 0.0 or var_x <= 0.0
+    se_h = math.sqrt(0.5 / n)
+    if var_h <= 0.0:
+        i_hat, se_i = 0.0, 0.0
+        h_hat = differential_entropy(var_s) if var_s > 0.0 else math.nan
+    else:
+        r_sq = (cov[0, 2] / var_x) * (cov[0, 2] / var_h)
+        if 1.0 - r_sq <= 1e-15:
+            degenerate, i_hat, se_i = True, math.inf, math.nan
+        else:
+            i_hat, se_i = -0.5 * math.log1p(-r_sq), math.sqrt(r_sq) / math.sqrt(n)
+        resid = var_s * (1.0 - (cov[1, 2] / var_s) * (cov[1, 2] / var_h))
+        if resid <= 0.0:
+            degenerate, h_hat, se_h = True, -math.inf, math.nan
+        else:
+            h_hat = differential_entropy(resid)
+    return {
+        "mse_hat": mse_hat, "i_xxhat_hat": float(i_hat), "h_s_given_xhat_hat": float(h_hat),
+        "se_mse": se_mse, "se_i": float(se_i), "se_h": se_h, "degenerate": bool(degenerate),
+    }
+
+
 class TestDrawBuffer:
     def test_zero_residual_source_rounds_to_zero(self):
         src = ZERO_RESIDUAL
         assert src.var_s - src.cov_xs**2 / src.var_x == 0.0
 
-    @pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (1000, 2026)])
+    @pytest.mark.parametrize(
+        "n, seed", [(1, 0), (7, 3), (1000, 2026), (4095, 4), (4096, 5), (4097, 6), (8193, 7)]
+    )
     def test_rows_are_the_broadcast_forms_bit_for_bit(self, n, seed):
         for src, target in seeded_pairs():
             batch = sample_joint(src, target, n, seed)
@@ -150,29 +184,32 @@ class TestDrawBuffer:
         with pytest.raises(ValueError, match="read-only"):
             batch.x[0] = 0.0
 
-    def test_plugin_estimates_equal_the_stacked_form(self, monkeypatch):
-        fits = []
-        cov = np.cov
+    def test_plugin_estimates_equal_the_stacked_form(self):
+        # Up to one block: the same float operations in the same order.
+        for n, (src, target) in itertools.product((100, 500, 4095, 4096), seeded_pairs()):
+            batch = sample_joint(src, target, n, seed=9)
+            want, got = stacked_estimates(batch), plugin_estimates(batch)
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
-        def recording_cov(m, *args, **kwargs):
-            fits.append(cov(m, *args, **kwargs))
-            return fits[-1]
-
-        monkeypatch.setattr(np, "cov", recording_cov)
+    @pytest.mark.parametrize("n", [4097, 8193, 100_000])
+    def test_plugin_estimates_meet_the_stacked_form(self, n):
+        # Several blocks: only the order of the block sums differs.  The
+        # dimensionless fields get an absolute bound, since they can be ~0.
         for src, target in seeded_pairs():
-            batch = sample_joint(src, target, 500, seed=9)
-            est = plugin_estimates(batch)
-            d = batch.x - batch.xhat
-            dsq = d * d
-            assert est["mse_hat"] == float(dsq.mean())
-            assert est["se_mse"] == float(dsq.std(ddof=1) / math.sqrt(batch.n))
-            want = cov(np.stack([batch.x, batch.s, batch.xhat]), ddof=1)
-            np.testing.assert_array_equal(fits[-1].view(np.int64), want.view(np.int64))
+            batch = sample_joint(src, target, n, seed=9)
+            want, got = stacked_estimates(batch), plugin_estimates(batch)
+            assert got["degenerate"] == want["degenerate"]
+            for key in ("mse_hat", "se_mse", "se_h"):
+                assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0)
+            for key in ("i_xxhat_hat", "h_s_given_xhat_hat", "se_i"):
+                assert got[key] == pytest.approx(want[key], rel=0.0, abs=1e-13, nan_ok=True)
 
     def test_memory(self):
         # No timing: tracemalloc counts numpy's buffers.  The batch is 24 B per
-        # sample; sample_joint adds one scratch row and plugin_estimates the
-        # squared residual, then np.cov's copy of the batch.
+        # sample; sample_joint adds one 32 KB scratch block (~24.35 B per
+        # sample in all at this n) and plugin_estimates 3 + 1 rows of _BLOCK
+        # columns (~26.15 B).  A full scratch row and np.cov's copy of the
+        # batch read 32 and 48.
         n = 100_000
         rec = mmse_reconstruction()
         plugin_estimates(sample_joint(UNIT, rec, 100, seed=0))  # first-call set-up
@@ -185,8 +222,52 @@ class TestDrawBuffer:
             plugin_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sample_peak <= 40 * n
-        assert plugin_peak <= 56 * n
+        assert sample_peak <= 25 * n
+        assert plugin_peak <= 27 * n
+
+
+def finite_draws(n=200):
+    return np.random.default_rng(5).standard_normal((3, n))
+
+
+def with_entry(value):
+    d = finite_draws()
+    d[0, 5] = value
+    return d
+
+
+class TestSampleBatchContract:
+    """The constructor applies ``sample_joint``'s n and seed rules and wants
+    finite float64 draws; each refused input once gave silently wrong estimates."""
+
+    @pytest.mark.parametrize(
+        "n, seed, draws",
+        [
+            pytest.param(200, 0, with_entry(math.inf), id="inf-draw"),
+            pytest.param(200, 0, with_entry(-math.inf), id="minus-inf-draw"),
+            pytest.param(200, 0, with_entry(math.nan), id="nan-draw"),
+            pytest.param(True, 0, finite_draws(1), id="n-true"),
+            pytest.param(200.0, 0, finite_draws(), id="n-float"),
+            pytest.param(200, -1, finite_draws(), id="seed-negative"),
+            pytest.param(200, "a", finite_draws(), id="seed-str"),
+            pytest.param(200, 2**128, finite_draws(), id="seed-past-philox-key"),
+            pytest.param(200, 0, np.arange(600).reshape(3, 200), id="integer-draws"),
+            pytest.param(200, 0, finite_draws().astype(np.float32), id="float32-draws"),
+            pytest.param(200, 0, finite_draws().tolist(), id="list-draws"),
+        ],
+    )
+    def test_refused(self, n, seed, draws):
+        with pytest.raises(ParameterError):
+            SampleBatch(n, seed, draws)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        batch = SampleBatch(np.int64(200), np.uint8(3), finite_draws())
+        assert (type(batch.n), type(batch.seed)) == (int, int)
+        assert (batch.n, batch.seed) == (200, 3)
+
+    def test_accepted_batch_estimates(self):
+        est = plugin_estimates(SampleBatch(200, 0, finite_draws()))
+        assert all(math.isfinite(v) for v in est.values())
 
 
 class TestPluginEstimates:
