@@ -238,7 +238,8 @@ def with_entry(value):
 
 class TestSampleBatchContract:
     """The constructor applies ``sample_joint``'s n and seed rules and wants
-    finite float64 draws; each refused input once gave silently wrong estimates."""
+    finite float64 draws: an infinite draw gave ``mse_hat = inf`` and NaN
+    information with ``degenerate`` False, and integer draws NaN errors."""
 
     @pytest.mark.parametrize(
         "n, seed, draws",
