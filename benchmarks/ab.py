@@ -16,10 +16,10 @@ child started by vfork + exec inherits its parent's RSS high-water mark, so
 
 Per metric it prints, and writes as the last stdout line (and to ``--out``) as
 JSON: each side's median and quartiles, the change's median over the
-parent's, how many rounds the change read lower (ties count for neither), and
-the two-sided sign-test p-value of those wins against the losses.  A child
-that exits non-zero, or runs longer than ``JOB_TIMEOUT_S`` and is killed, stops
-the run.
+parent's with its bootstrap 95% interval, how many rounds the change read
+lower (ties count for neither), and the two-sided sign-test p-value of those
+wins against the losses.  A child that exits non-zero, or runs longer than
+``JOB_TIMEOUT_S`` and is killed, stops the run.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 METRICS = ("wall_s", "cpu_s", "maxrss_mb")
 JOB_TIMEOUT_S = 120.0  # as rdcbench/jobs.py: a hung child is killed
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 def sign_test(wins: int, losses: int) -> float:
@@ -49,10 +51,25 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail / 2**n)
 
 
+def ratio_interval(parent: list[float], change: list[float]) -> list[float]:
+    """Percentile bootstrap 95% interval of the change's median over the
+    parent's: ``BOOTSTRAP_RESAMPLES`` resamples of the rounds, with
+    replacement and from ``BOOTSTRAP_SEED``, each keeping a round's two sides
+    together, since both ran under the same host drift."""
+    rng, rounds = random.Random(BOOTSTRAP_SEED), range(len(parent))
+    ratios = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        picks = rng.choices(rounds, k=len(parent))
+        ratios.append(statistics.median(change[i] for i in picks)
+                      / statistics.median(parent[i] for i in picks))
+    cuts = statistics.quantiles(ratios, n=40, method="inclusive")  # 2.5%, 5%, ..., 97.5%
+    return [cuts[0], cuts[-1]]
+
+
 def compare(parent: list[float], change: list[float], better: str = "lower") -> dict:
-    """Quartiles of each side's samples (one per round, at least two), and the
-    change's wins by round (``better`` is "lower" or "higher") with their
-    sign-test p-value."""
+    """Quartiles of each side's samples (one per round, at least two), the
+    median ratio with its ``ratio_interval``, and the change's wins by round
+    (``better`` is "lower" or "higher") with their sign-test p-value."""
     sides = {}
     for side, xs in zip(SIDES, (parent, change)):
         q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
@@ -63,6 +80,7 @@ def compare(parent: list[float], change: list[float], better: str = "lower") -> 
     return {
         **sides,
         "ratio": sides["change"]["median"] / sides["parent"]["median"],
+        "ratio_ci95": ratio_interval(parent, change),
         "wins": wins,
         "ties": len(parent) - wins - losses,
         "rounds": len(parent),
@@ -137,7 +155,8 @@ def main(args: list[str] | None = None) -> int:
         print(
             f"{metric:10s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
             f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-            f"  ratio {r['ratio']:.3f}  change lower {r['wins']}/{r['rounds']}"
+            f"  ratio {r['ratio']:.3f} [{r['ratio_ci95'][0]:.3f}, {r['ratio_ci95'][1]:.3f}]"
+            f"  change lower {r['wins']}/{r['rounds']}"
             f"  p {r['p_value']:.2g}"
         )
     line = json.dumps(result, sort_keys=True)

@@ -19,10 +19,17 @@ tree is stamped by those last two fields, not refused.
 
 The full per-job records, with every output digest, stay in
 ``.rdcbench/results/`` of each checkout.  At the end ``digests.compare``
-matches the two checkouts' untraced records job by job, and both files get
+matches the two checkouts' untraced records of ``SEEDS`` job by job (never
+the result files of other runs a checkout holds), and both files get
 its per-kind tally of equal jobs, the number of differing jobs and the
 first ``DIFF_LINES`` of their lines (``benchmarks/digests.py`` prints them
 all).
+
+A BENCH pair is an output check and a smoke check, not the evidence of a
+speed claim: with one run per side on each of two seeds, it cannot resolve
+``BENCHMARK.json``'s 25% bound on workloads that run no changed code (two
+pairs of identical gauss-cli code read ``job_s.p50`` -10.8% and +12.5%).  A
+claimed gain rests on at least ten alternating ``benchmarks/pairs.py`` pairs.
 """
 
 from __future__ import annotations
@@ -119,7 +126,7 @@ def main(argv=None) -> int:
             traced[side][workload] = rdcbench(
                 roots[side], "--workload", workload, "--seed", str(SEEDS[0]), "--trace", "1"
             )
-    lines, _, differing = digests.compare(*roots)
+    lines, _, differing = digests.compare(*roots, SEEDS)
     print("\n".join(lines), file=sys.stderr)
     tally = lines[: len(lines) - differing]
     outputs = {"tally": tally, "differing": differing, "diff_lines": lines[len(tally):][:DIFF_LINES]}

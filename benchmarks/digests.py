@@ -3,17 +3,18 @@
 Run ``python3 rdcbench/run.py --workload all --seed N`` in each checkout, then,
 from anywhere:
 
-    python3 benchmarks/digests.py PARENT_ROOT CHANGE_ROOT
+    python3 benchmarks/digests.py PARENT_ROOT CHANGE_ROOT --seeds N [N ...]
 
 It reads ``.rdcbench/results/<workload>-seed<N>-trace0.json`` of both
-checkouts.  A workload's job stream is fixed by its seed, so the jobs at the
-same position of the same result file are the same job; each run stops at its
-own time budget, so only the positions both runs reached are matched.  A job's
-kind is its CLI subcommand, or a library task's kind.  Per workload and kind,
+checkouts for the seeds given, and no other result file a checkout holds.  A
+workload's job stream is fixed by its seed, so the jobs at the same position
+of the same result file are the same job; each run stops at its own time
+budget, so only the positions both runs reached are matched.  A job's kind is
+its CLI subcommand, or a library task's kind.  Per workload and kind,
 it prints how many matched jobs have equal argv, exit code and output SHA-256
 digests, then one line for each job that differs, naming what differs.  The
 exit status is 0 when every matched job is equal, 1 when one differs and 2
-when the two checkouts share no result file.
+when the two checkouts share no result file of those seeds.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ def _kind(job: dict) -> str:
     return job["kind"] if "kind" in job else job["argv"][3]  # python -m rdclab.cli <kind>
 
 
-def compare(parent: Path, change: Path) -> tuple[list[str], int, int]:
-    """Report lines, the number of result files compared and of jobs that differ."""
+def compare(parent: Path, change: Path, seeds) -> tuple[list[str], int, int]:
+    """Report lines, the number of result files compared and of jobs that differ,
+    over the untraced result files of ``seeds``."""
     files = 0
     tally: dict[tuple[str, str], list[int]] = {}  # (workload, kind) -> [equal, matched]
     diffs: list[str] = []
-    for path in sorted((parent / RESULTS).glob("*-trace0.json")):
+    results = parent / RESULTS
+    for path in sorted(p for s in seeds for p in results.glob(f"*-seed{s}-trace0.json")):
         other = change / RESULTS / path.name
         if not other.exists():
             continue
@@ -61,10 +64,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_root", type=Path)
     parser.add_argument("change_root", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True, metavar="N")
     args = parser.parse_args(argv)
-    lines, files, differing = compare(args.parent_root, args.change_root)
+    lines, files, differing = compare(args.parent_root, args.change_root, args.seeds)
     if files == 0:
-        print("no trace0 result file in both checkouts", file=sys.stderr)
+        print("no trace0 result file of these seeds in both checkouts", file=sys.stderr)
         return 2
     print("\n".join(lines))
     return 1 if differing else 0

@@ -8,11 +8,12 @@ in both checkouts, each with its own ``rdcbench/`` and rdcbench's default run
 length.  The parent goes first on seed A, the change on the next seed, and so
 on, so host drift falls on both sides alike.  For each end-to-end metric in
 ``BENCHMARK.json`` it prints each side's median and quartiles over the seeds,
-the change's median over the parent's, the pairs in which the change was
-better (in the metric's ``better`` direction) and the two-sided sign-test
-p-value of those wins, all from ``ab.compare``.  The last stdout line (and
-``--out``) is JSON: the run order, those summaries, every sample and each
-run's failed-task count.  A claimed gain needs at least ten pairs, and the
+the change's median over the parent's with its bootstrap 95% interval (seeds
+resampled as pairs), the pairs in which the change was better (in the
+metric's ``better`` direction) and the two-sided sign-test p-value of those
+wins, all from ``ab.compare``.  The last stdout line (and ``--out``) is JSON:
+the run order, those summaries, every sample and each run's failed-task
+count.  A claimed gain needs at least ten pairs, and the
 change better in at least nine.
 """
 
@@ -76,7 +77,8 @@ def main(argv=None) -> int:
         print(
             f"{name:14s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
             f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-            f"  ratio {r['ratio']:.3f}  change {r['better']} {r['wins']}/{r['rounds']}"
+            f"  ratio {r['ratio']:.3f} [{r['ratio_ci95'][0]:.3f}, {r['ratio_ci95'][1]:.3f}]"
+            f"  change {r['better']} {r['wins']}/{r['rounds']}"
             f"  p {r['p_value']:.2g}"
         )
     result = {

@@ -27,8 +27,8 @@ every product is ``_dot``, never a BLAS kernel, which the CPU picks and which
 sums in its own order; and the reconstruction alphabet's zero is +0.0, never
 the -0.0 that a SIMD sort may keep.
 
-scipy is imported inside ``w2_squared_lp`` (``scipy.optimize`` and
-``scipy.sparse``) and ``discretize_gaussian`` (``scipy.special``), which no
+scipy is imported inside ``w2_squared_lp`` (the HiGHS bindings of
+``scipy.optimize``) and ``discretize_gaussian`` (``scipy.special``), which no
 CLI subcommand calls, on their first call: each import takes about a third of
 a second.  ``scipy.stats`` is never imported: it adds another 0.4-0.7 s and
 about 21 MB.
@@ -265,59 +265,72 @@ def w2_squared_quantile(p: DiscreteDistribution, q: DiscreteDistribution) -> flo
     return _kernels.w2_quantile_pairs(p.support, p.probs, q.support, q.probs)
 
 
-def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Exact transportation LP over the coupling polytope (HiGHS simplex).
-
-    Independent oracle for ``w2_squared_quantile``; supports up to 64 atoms
-    per marginal.  ``scipy.optimize`` and ``scipy.sparse`` are imported on the
-    first call, not with the module, because no CLI subcommand needs them.
-
-    The coupling constraints go to HiGHS as a sparse CSC matrix built from
-    index arrays: column ``i*m + j`` holds a 1 in row ``i`` (the row sums)
-    and, for ``j < m-1``, in row ``n + j`` (the column sums; the last one is
-    implied by the rest).  A dense matrix cost ~100-190 fresh pages a call
-    at 32 x 32 atoms and peaked at 13 MB at 64 x 64.  Presolve is off: with
-    positive masses it finds nothing to remove, and at 32 x 32 it cost
-    1.0-1.3 ms.  Together the two cut a 32 x 32 call by ~23% (7.9 -> 6.1 ms
-    on a 2-vCPU x86_64 host) and a 64 x 64 call by ~35%.  At 8 atoms a side
-    or fewer, scipy.sparse's fixed cost makes a call ~0.4-0.5 ms slower than
-    the dense form (~2.5 ms against ~2 ms).
-
-    The dual simplex prices by Dantzig's rule (the largest infeasibility)
-    instead of HiGHS's default choice of edge weights.  On random 32 x 32
-    pairs (CPU medians of 55 calls, same host) a call fell from 4.7-4.9 to
-    4.2-4.5 ms; at 64 x 64 from 16.6-19.2 to 14.2-16.2 ms; at 16 atoms or
-    fewer it moved by less than the noise.  On the rdcbench library-oracles
-    pairs the median iteration count fell from 187 to 140.  Most of what
-    remains of a small call is scipy's Python wrapper, ~1.7 ms of a 4 x 4
-    call's ~1.9 ms against ~0.2 ms in HiGHS: it builds a HiGHS options
-    manager in each of its ``check_option`` calls (one per option) and reads
-    the basis back in a loop over the columns.  Only scipy's private
-    ``_highspy`` module avoids that, and the ``scipy>=1.10`` pin does not
-    promise it.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_array
+def _transport_lp(p: DiscreteDistribution, q: DiscreteDistribution):
+    """The HiGHS model and options of ``w2_squared_lp``'s coupling LP."""
+    from scipy.optimize._highspy import _core as highs
 
     n, m = p.support.size, q.support.size
-    if n > _MAX_LP_SUPPORT or m > _MAX_LP_SUPPORT:
-        raise SizeGuardError(f"LP oracle limited to {_MAX_LP_SUPPORT} atoms")
-    cost = (p.support[:, None] - q.support[None, :]) ** 2
     i, j = np.divmod(np.arange(n * m), m)  # column i*m + j is the mass moved from i to j
     in_col_sum = j < m - 1  # last column constraint is redundant
     rows = np.stack((i, n + j), axis=1)[np.stack((np.ones_like(in_col_sum), in_col_sum), axis=1)]
-    starts = np.concatenate(([0], np.cumsum(1 + in_col_sum)))
-    a_eq = csc_array((np.ones(rows.size), rows, starts), shape=(n + m - 1, n * m))
-    b_eq = np.concatenate((p.probs, q.probs[:-1]))
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n * m
+    lp.num_row_ = lp.a_matrix_.num_row_ = n + m - 1
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.col_cost_ = ((p.support[:, None] - q.support[None, :]) ** 2).ravel()
+    lp.col_lower_ = np.zeros(n * m)
+    lp.col_upper_ = np.full(n * m, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate((p.probs, q.probs[:-1]))
+    # HiGHS's index vectors take Python ints ~2x faster than numpy's.
+    lp.a_matrix_.start_ = [0, *np.cumsum(1 + in_col_sum).tolist()]
+    lp.a_matrix_.index_ = rows.tolist()
+    lp.a_matrix_.value_ = np.ones(rows.size)
+    opts, simplex = highs.HighsOptions(), highs.simplex_constants
+    opts.presolve = "off"
+    opts.simplex_strategy = simplex.SimplexStrategy.kSimplexStrategyDual
+    edge_weights = simplex.SimplexEdgeWeightStrategy
+    opts.simplex_dual_edge_weight_strategy = edge_weights.kSimplexEdgeWeightStrategyDantzig
     # At HiGHS's default tolerances (1e-7) a 32-atom pair's value came out 4.4e-9 low.
-    opts = {"presolve": False, "simplex_dual_edge_weight_strategy": "dantzig",
-            "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options=opts
-    )
-    if not res.success:  # pragma: no cover - transportation LPs are always feasible
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    return float(res.fun)
+    opts.primal_feasibility_tolerance = opts.dual_feasibility_tolerance = 1e-10
+    opts.output_flag = opts.log_to_console = False
+    return lp, opts
+
+
+def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+    """Exact transportation LP over the coupling polytope (HiGHS dual simplex).
+
+    Independent oracle for ``w2_squared_quantile``; supports up to 64 atoms
+    per marginal.  ``_transport_lp``'s model goes to a fresh HiGHS solver
+    through the bindings scipy bundles (``scipy.optimize._highspy``, imported
+    on the first call: no CLI subcommand needs it), with the options that
+    ``linprog(method="highs")`` would pass, and the value keeps its bits.
+
+    Column ``i*m + j`` of the sparse matrix holds a 1 in row ``i`` (the row
+    sums) and, for ``j < m-1``, in row ``n + j`` (the column sums).  A dense
+    matrix cost ~100-190 fresh pages a call at 32 x 32 atoms.  Presolve is
+    off: with positive masses it finds nothing to remove, and at 32 x 32 it
+    cost 1.0-1.3 ms.  Dantzig pricing took the median iteration count of
+    rdcbench's library-oracles pairs from 187 to 140.  Bypassing
+    ``linprog``'s wrapper, which checks each option through a new options
+    manager and reads the basis back column by column, cut a call from ~2.2
+    to 0.33 ms at 4 x 4, ~4.9 to 2.1 ms at 32 x 32 and ~15.5 to 9.4 ms at
+    64 x 64.  That CPU time splits into building the model, handing it to
+    HiGHS and HiGHS's ``run`` as 0.13 + 0.09 + 0.10 ms, 0.45 + 0.16 + 1.43 ms
+    and 1.47 + 0.35 + 7.4 ms (medians of 40 random pairs, 2-vCPU x86_64).
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    if p.support.size > _MAX_LP_SUPPORT or q.support.size > _MAX_LP_SUPPORT:
+        raise SizeGuardError(f"LP oracle limited to {_MAX_LP_SUPPORT} atoms")
+    lp, opts = _transport_lp(p, q)
+    solver = highs._Highs()
+    solver.passOptions(opts)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:  # pragma: no cover - always feasible
+        raise RuntimeError(f"transportation LP failed: {solver.modelStatusToString(status)}")
+    return float(solver.getInfo().objective_function_value)
 
 
 def default_xhat_values(src: DiscreteSource, red: MMSEReduction) -> np.ndarray:

@@ -60,6 +60,31 @@ def test_compare_counts_wins_in_the_metrics_direction():
         ab.compare(parent, change, "Higher")
 
 
+# Ten rounds of a change ~10% faster, with host drift shared within a round.
+DRIFTING_PARENT = [1.00, 1.31, 0.92, 1.12, 1.05, 1.48, 0.97, 1.20, 1.02, 1.26]
+DRIFTING_CHANGE = [0.91, 1.15, 0.86, 1.01, 0.92, 1.35, 0.90, 1.07, 0.95, 1.10]
+
+
+def test_ratio_interval_brackets_the_ratio():
+    got = ab.compare(DRIFTING_PARENT, DRIFTING_CHANGE)
+    lo, hi = got["ratio_ci95"]
+    assert lo < got["ratio"] < hi < 1.0
+    assert hi - lo > 0.01  # a real spread, not a point
+
+
+def test_ratio_interval_covers_1_for_identical_samples():
+    assert ab.compare(DRIFTING_PARENT, DRIFTING_PARENT)["ratio_ci95"] == [1.0, 1.0]
+    got = ab.compare(DRIFTING_PARENT, DRIFTING_PARENT[1:] + DRIFTING_PARENT[:1])
+    lo, hi = got["ratio_ci95"]
+    assert got["ratio"] == 1.0 and lo < 1.0 < hi  # same values, other rounds
+
+
+def test_ratio_interval_repeats_exactly():
+    first = ab.ratio_interval(DRIFTING_PARENT, DRIFTING_CHANGE)
+    assert ab.ratio_interval(DRIFTING_PARENT, DRIFTING_CHANGE) == first
+    assert ab.compare(DRIFTING_PARENT, DRIFTING_CHANGE)["ratio_ci95"] == first
+
+
 def test_a_hung_child_is_killed_and_stops_the_run(tmp_path, monkeypatch):
     package = tmp_path / "root" / "src" / "rdclab"
     package.mkdir(parents=True)

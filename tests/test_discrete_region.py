@@ -38,6 +38,7 @@ from rdclab import (
     w2_squared_quantile,
 )
 from rdclab.discrete_region import (
+    _transport_lp,
     default_xhat_values,
     deterministic_decoder,
     _grid,
@@ -389,40 +390,77 @@ def dense_coupling_rows(n, m):
 
 
 class TestLPMatrix:
-    """``w2_squared_lp`` hands HiGHS a CSC matrix, unpresolved; the dense loop
-    it replaced is the oracle."""
+    """``_transport_lp`` is what ``w2_squared_lp`` hands HiGHS: a CSC matrix,
+    whose oracle is the dense loop it replaced, and ``linprog``'s options;
+    ``linprog`` given the same LP is the oracle of the value, bit for bit."""
+
+    OPTIONS = {  # as given to linprog(method="highs") before the direct call
+        "presolve": False,
+        "simplex_dual_edge_weight_strategy": "dantzig",
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10,
+    }
 
     @pytest.mark.parametrize(
         "n, m", [*itertools.product(range(1, 7), repeat=2), (64, 64)]
     )
-    def test_csc_equals_the_dense_loop(self, monkeypatch, n, m):
-        import scipy.optimize
-        from scipy.sparse import csc_array
+    def test_csc_equals_the_dense_loop(self, n, m):
+        from scipy.optimize._highspy import _core as highs
 
-        calls = []
-        linprog = scipy.optimize.linprog
-
-        def recording_linprog(c, **kwargs):
-            calls.append(kwargs)
-            return linprog(c, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
         rng = np.random.default_rng(61)
         p, q = random_atoms(rng, n), random_atoms(rng, m)
-        w2_squared_lp(p, q)
-        (kwargs,) = calls
-        a_eq = kwargs["A_eq"]
-        assert isinstance(a_eq, csc_array) and a_eq.has_canonical_format
+        lp, opts = _transport_lp(p, q)
+        a = lp.a_matrix_
+        assert a.format_ == highs.MatrixFormat.kColwise
+        assert (lp.num_row_, lp.num_col_, a.num_row_, a.num_col_) == (n + m - 1, n * m) * 2
+        assert a.start_[0] == 0 and a.start_[-1] == len(a.index_) == len(a.value_)
+        csc = np.zeros((n + m - 1, n * m))
+        for col in range(n * m):
+            rows = a.index_[a.start_[col] : a.start_[col + 1]]
+            assert rows == sorted(set(rows))  # canonical: sorted, no duplicates
+            csc[rows, col] = a.value_[a.start_[col] : a.start_[col + 1]]
         dense = dense_coupling_rows(n, m)
-        assert a_eq.nnz == np.count_nonzero(dense)
-        np.testing.assert_array_equal(a_eq.toarray(), dense)
-        np.testing.assert_array_equal(kwargs["b_eq"], [*p.probs, *q.probs[:-1]])
-        assert kwargs["options"] == {
-            "presolve": False,
-            "simplex_dual_edge_weight_strategy": "dantzig",
+        assert len(a.value_) == np.count_nonzero(dense)
+        np.testing.assert_array_equal(csc, dense)
+        cost = (p.support[:, None] - q.support[None, :]) ** 2
+        np.testing.assert_array_equal(lp.col_cost_, cost.ravel())
+        np.testing.assert_array_equal(lp.col_lower_, np.zeros(n * m))
+        np.testing.assert_array_equal(lp.col_upper_, np.full(n * m, highs.kHighsInf))
+        np.testing.assert_array_equal(lp.row_lower_, [*p.probs, *q.probs[:-1]])
+        np.testing.assert_array_equal(lp.row_upper_, lp.row_lower_)
+        # Every option but these keeps HiGHS's default; linprog sets the dual
+        # simplex, which is the default, and turns the output off.
+        simplex, defaults = highs.simplex_constants, highs.HighsOptions()
+        names = [k for k in dir(defaults) if not k.startswith("_")]
+        changed = {k: getattr(opts, k) for k in names if getattr(opts, k) != getattr(defaults, k)}
+        assert changed == {
+            "presolve": "off",
+            "simplex_dual_edge_weight_strategy":
+                simplex.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDantzig,
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
+            "output_flag": False,
+            "log_to_console": False,
         }
+        assert opts.simplex_strategy == simplex.SimplexStrategy.kSimplexStrategyDual
+        assert len(names) > 50  # the options were read, not an empty listing
+
+    @pytest.mark.parametrize(
+        "n, m", [*itertools.product(range(1, 9), repeat=2), (1, 64), (64, 1), (64, 64)]
+    )
+    def test_value_equals_linprog_bit_for_bit(self, n, m):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(100 * n + m)
+        for zeros in (False, True):
+            p, q = random_atoms(rng, n, zeros), random_atoms(rng, m, zeros)
+            cost = (p.support[:, None] - q.support[None, :]) ** 2
+            res = linprog(
+                cost.ravel(), A_eq=dense_coupling_rows(n, m), b_eq=[*p.probs, *q.probs[:-1]],
+                bounds=(0.0, None), method="highs", options=self.OPTIONS,
+            )
+            assert res.success
+            assert w2_squared_lp(p, q).hex() == float(res.fun).hex(), (n, m, zeros)
 
 
 class TestOuterBound:

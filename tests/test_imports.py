@@ -9,8 +9,9 @@ the modules it runs: the Gaussian ones (``gauss-curves``,
 ``discrete-region`` loads numpy, ``discrete_region`` and ``_kernels``, without
 ``numpy.ma``.  The value types are plain classes on ``errors.Frozen``, so no
 subcommand loads ``dataclasses``, and the Gaussian ones load neither
-``inspect`` nor ``typing``.  scipy is imported inside ``w2_squared_lp`` and
-``discretize_gaussian`` on their first call, so no subcommand loads it, and
+``inspect`` nor ``typing``.  scipy is imported inside ``w2_squared_lp`` (the
+HiGHS bindings of ``scipy.optimize``) and ``discretize_gaussian``
+(``scipy.special``) on their first call, so no subcommand loads it, and
 ``scipy.stats`` is never imported.  ``discrete-region`` asks OpenBLAS for one
 thread unless its caller set a thread count.  Each check runs in a fresh
 interpreter, because this test process has long since imported numpy and
