@@ -278,13 +278,13 @@ def _transport_lp(p: DiscreteDistribution, q: DiscreteDistribution):
     lp.num_row_ = lp.a_matrix_.num_row_ = n + m - 1
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     lp.col_cost_ = ((p.support[:, None] - q.support[None, :]) ** 2).ravel()
-    lp.col_lower_ = np.zeros(n * m)
-    lp.col_upper_ = np.full(n * m, highs.kHighsInf)
     lp.row_lower_ = lp.row_upper_ = np.concatenate((p.probs, q.probs[:-1]))
-    # HiGHS's index vectors take Python ints ~2x faster than numpy's.
+    # HiGHS's vectors take Python lists 2-5x faster than numpy arrays, which
+    # they read one numpy scalar at a time (~140 us a call at 32 x 32).
+    lp.col_lower_, lp.col_upper_ = [0.0] * (n * m), [highs.kHighsInf] * (n * m)
     lp.a_matrix_.start_ = [0, *np.cumsum(1 + in_col_sum).tolist()]
     lp.a_matrix_.index_ = rows.tolist()
-    lp.a_matrix_.value_ = np.ones(rows.size)
+    lp.a_matrix_.value_ = [1.0] * rows.size
     opts, simplex = highs.HighsOptions(), highs.simplex_constants
     opts.presolve = "off"
     opts.simplex_strategy = simplex.SimplexStrategy.kSimplexStrategyDual
@@ -312,11 +312,12 @@ def w2_squared_lp(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     cost 1.0-1.3 ms.  Dantzig pricing took the median iteration count of
     rdcbench's library-oracles pairs from 187 to 140.  Bypassing
     ``linprog``'s wrapper, which checks each option through a new options
-    manager and reads the basis back column by column, cut a call from ~2.2
-    to 0.33 ms at 4 x 4, ~4.9 to 2.1 ms at 32 x 32 and ~15.5 to 9.4 ms at
-    64 x 64.  That CPU time splits into building the model, handing it to
-    HiGHS and HiGHS's ``run`` as 0.13 + 0.09 + 0.10 ms, 0.45 + 0.16 + 1.43 ms
-    and 1.47 + 0.35 + 7.4 ms (medians of 40 random pairs, 2-vCPU x86_64).
+    manager and reads the basis back column by column, cut a call from
+    ~1.9 to 0.41 ms at 4 x 4, ~4.5 to 1.74 ms at 32 x 32 and ~14-16 to
+    8.6-10.3 ms at 64 x 64.  That CPU time splits into building the model,
+    handing it to a new solver and HiGHS's ``run`` as 0.14 + 0.09 + 0.11 ms,
+    0.30 + 0.16 + 1.2-1.3 ms and 0.65-0.75 + 0.29 + 7.3-8.5 ms (medians of
+    40 random pairs per size, two draws, 2-vCPU x86_64).
     """
     from scipy.optimize._highspy import _core as highs
 
